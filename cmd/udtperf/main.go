@@ -98,9 +98,9 @@ func runServer(addr string, mss int, noOffload bool, batch, shards int, psk stri
 	}
 }
 
-// dialFlows establishes the client flows: one private-socket connection,
-// or N flows multiplexed over one shared UDP socket. The second return is
-// the Mux when one is in play (for its demux drop counters).
+// dialFlows establishes the client flows: one connection on a socket of
+// its own, or N flows multiplexed over one shared UDP socket. The second
+// return is the shared Mux when there is one (for its offload verdicts).
 func dialFlows(addr string, cfg *udt.Config, streams int) ([]*udt.Conn, *udt.Mux) {
 	if streams == 1 {
 		c, err := udt.Dial(addr, cfg)
@@ -163,7 +163,9 @@ func runClient(addr string, dur time.Duration, mss int, interval time.Duration, 
 		gso, gro := m.Offload()
 		log.Printf("offload probe: UDP_SEGMENT(GSO)=%v UDP_GRO=%v", gso, gro)
 	} else {
-		log.Printf("offload probe: UDP_SEGMENT(GSO)=%v (private socket; GRO applies to listener groups)", st0.GSOEnabled)
+		// A dialed connection's socket is a private Mux with the same offload
+		// paths, but only the send-side verdict is visible through the Conn.
+		log.Printf("offload probe: UDP_SEGMENT(GSO)=%v (own socket; UDP_GRO is requested on it too)", st0.GSOEnabled)
 	}
 
 	if expAddr != "" {
@@ -281,7 +283,7 @@ const monitorHeader = "      t       cc     period     cwnd      pace      wire 
 // RTT, estimated link bandwidth, cumulative retransmissions and NAKs
 // received, the cumulative send-syscall amortization (syscalls per data
 // packet: 1.0 bare, ~1/batch with sendmmsg, down to ~1/44 with GSO), the
-// shared socket's demux drop counters (zero on a private socket), and the
+// socket's demux drop counters, and the
 // Secure UDT counters — authentication rejects and cookie challenges sent
 // (both zero on cleartext runs). The PerfRecord stream itself is unchanged
 // — the extra columns come from Stats, so recorded telemetry stays

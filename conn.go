@@ -29,8 +29,9 @@ var (
 	errAuthRequired = errors.New("udt: handshake: peer did not authenticate (set Config.AllowUnauth to permit clear fallback)")
 )
 
-// sockWriter abstracts the datagram transport: a dialed Conn owns its
-// socket; a multiplexed Conn shares its Mux's.
+// sockWriter abstracts the datagram transport a Conn sends through. In
+// production that is always a muxFlow — a seat on a Mux's socket, shared
+// or private; the interface is the seam where tests substitute fakes.
 //
 // headroom is the number of bytes the transport needs reserved at the
 // front of every datagram buffer, ahead of the encoded UDT packet — a
@@ -66,13 +67,13 @@ type Conn struct {
 	// shard is the scheduler seat: the connection is a passive poolTask
 	// run by its shard's worker, parked on the shard's timing wheel
 	// between services. clock is the shard's clock — every deadline the
-	// connection reports must be on the wheel's timeline. ownPool is
-	// non-nil for dialed connections with a private socket, which own a
-	// degenerate one-shard pool torn down on Close.
+	// connection reports must be on the wheel's timeline.
 	shard   *poolShard
 	schedSt schedState
-	ownPool *connPool
-	ownMux  *Mux // non-nil for rendezvous connections with a private socket; guarded by mu
+	// ownMux is non-nil for connections that own their socket (Dial,
+	// DialOn, Rendezvous): the one-flow Mux built around it, torn down on
+	// Close. Guarded by mu.
+	ownMux *Mux
 
 	clock  *timing.SysClock
 	ledger *timing.Ledger
@@ -235,13 +236,9 @@ func (c *Conn) Close() error {
 		c.closer()
 	}
 	// Leave the scheduler: after detach the shard guarantees no service
-	// run is in flight or will ever start. A dialed connection also owns
-	// its one-shard pool; stop that worker too.
+	// run is in flight or will ever start.
 	if c.shard != nil {
 		c.shard.detach(c)
-	}
-	if c.ownPool != nil {
-		c.ownPool.close()
 	}
 	// With sender service finished, nothing can reference a mapped file
 	// region anymore; release mappings whose teardown SendFileZC deferred.
@@ -252,9 +249,9 @@ func (c *Conn) Close() error {
 	c.ownMux = nil
 	c.mu.Unlock()
 	if om != nil {
-		// A rendezvous connection owns its whole Mux (udt.Rendezvous built
-		// one just for it). The closer above already released this flow from
-		// the mux tables, so Close here only reaps the socket and read loop.
+		// A connection that owns its socket owns the whole Mux built around
+		// it. The closer above already released this flow from the mux
+		// tables, so Close here only reaps the socket, read loop and worker.
 		om.Close() //nolint:errcheck
 	}
 	for _, m := range mms {
@@ -377,16 +374,13 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 }
 
-// muxCounterSource lets multiplexed flows surface their shared socket's
-// demultiplexer drop counters in Stats.
-type muxCounterSource interface {
-	muxCounters() (unknownDest, shortDatagram uint64)
-}
-
-// secCounterSource lets multiplexed flows surface their shared socket's
-// pre-connection authentication counters in Stats.
-type secCounterSource interface {
-	secCounters() (authRejects, cookieSent uint64)
+// sockCounters is an optional sockWriter upgrade: a transport that keeps
+// socket-wide totals (demultiplexer drops, pre-connection authentication,
+// receive offload) adds them to a Stats snapshot; test fakes do without.
+// The snapshot travels by value: a pointer passed through the interface
+// would move every Stats call's result to the heap.
+type sockCounters interface {
+	sockStats(s Stats) Stats
 }
 
 // Stats returns a snapshot of the connection's protocol counters.
@@ -410,21 +404,11 @@ func (c *Conn) Stats() Stats {
 		CCWindowPkts:   ctrl.Window(),
 	}
 	c.mu.Unlock()
-	if mc, ok := c.sock.(muxCounterSource); ok {
-		s.MuxUnknownDest, s.MuxShortDatagram = mc.muxCounters()
-	}
 	if c.sec != nil {
-		af, rp := c.sec.Drops()
-		s.AuthRejects += af
-		s.ReplayDrops = rp
+		s.AuthRejects, s.ReplayDrops = c.sec.Drops()
 	}
-	if sc, ok := c.sock.(secCounterSource); ok {
-		ar, cs := sc.secCounters()
-		s.AuthRejects += ar
-		s.CookieSent = cs
-	}
-	if gc, ok := c.sock.(groCounterSource); ok {
-		s.GROReads, s.GROSegments = gc.groCounters()
+	if sc, ok := c.sock.(sockCounters); ok {
+		s = sc.sockStats(s)
 	}
 	s.GSOEnabled = c.sw != nil && c.sw.offloadActive()
 	s.GSOSends = c.gsoSends.Load()

@@ -38,12 +38,6 @@ type segWriter interface {
 	offloadActive() bool
 }
 
-// groCounterSource lets multiplexed flows surface their shared socket's
-// receive-offload counters in Stats.
-type groCounterSource interface {
-	groCounters() (reads, segments uint64)
-}
-
 // offloadStats holds one socket's receive-offload state: whether UDP_GRO
 // is active, and running totals of coalesced deliveries and the packets
 // recovered from them. The read loop writes, Stats snapshots read.

@@ -7,51 +7,6 @@ import (
 	"sync"
 )
 
-// ownedSock is a dialed connection's private transport. When that
-// transport is a real UDP socket it carries the platform batch and
-// segmentation-offload send paths, so dialed connections reach sendmmsg
-// and GSO exactly like multiplexed ones; on any other fabric (netem,
-// proxies) both upgrades are absent and every send is one writeTo.
-type ownedSock struct {
-	c  PacketConn
-	bw batchWriter // nil off-UDP: writeBatch falls back to writeTo
-	sw segWriter   // nil when the platform or probe rules out GSO
-}
-
-func newOwnedSock(pc PacketConn, offload bool) *ownedSock {
-	s := &ownedSock{c: pc}
-	s.bw = newBatchSender(pc, offload)
-	s.sw, _ = s.bw.(segWriter)
-	return s
-}
-
-func (s *ownedSock) writeTo(b []byte, addr net.Addr) (int, error) {
-	return s.c.WriteTo(b, addr)
-}
-
-func (s *ownedSock) writeBatch(bufs [][]byte, addr net.Addr) error {
-	if s.bw != nil {
-		return s.bw.writeBatch(bufs, addr)
-	}
-	for _, b := range bufs {
-		if _, err := s.c.WriteTo(b, addr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *ownedSock) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (bool, error) {
-	if s.sw == nil {
-		return false, nil
-	}
-	return s.sw.writeSegments(bufs, segSize, addr)
-}
-
-func (s *ownedSock) offloadActive() bool { return s.sw != nil && s.sw.offloadActive() }
-
-func (s *ownedSock) headroom() int { return 0 }
-
 // Dial connects to a UDT listener at the given UDP address ("host:port").
 // cfg may be nil for defaults. To dial over a different transport (a
 // pre-tuned socket, or a netem fault-injection fabric), use DialOn.
@@ -64,15 +19,7 @@ func Dial(address string, cfg *Config) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udt: dial %s: %w", address, err)
 	}
-	rcvBuf, sndBuf := tuneUDPBuffers(sock)
-	conn, err := DialOn(sock, raddr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	conn.mu.Lock()
-	conn.udpRcvBuf, conn.udpSndBuf = rcvBuf, sndBuf
-	conn.mu.Unlock()
-	return conn, nil
+	return DialOn(sock, raddr, cfg)
 }
 
 func udpAddrEqual(a, b *net.UDPAddr) bool {
@@ -158,8 +105,7 @@ func Listen(address string, cfg *Config) (*Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udt: listen %s: %w", address, err)
 	}
-	rcvBuf, sndBuf := tuneUDPBuffers(sock)
-	return listenOn(sock, cfg, rcvBuf, sndBuf)
+	return ListenOn(sock, cfg)
 }
 
 // listenReusePort binds cfg.ReusePortShards sockets to laddr as one
@@ -189,15 +135,13 @@ func listenReusePort(laddr *net.UDPAddr, cfg *Config) (*Listener, error) {
 			laddr = s.LocalAddr().(*net.UDPAddr)
 		}
 	}
-	rcvBuf, sndBuf := tuneUDPBuffers(socks[0])
-	l, err := listenOn(socks[0], cfg, rcvBuf, sndBuf)
+	l, err := ListenOn(socks[0], cfg)
 	if err != nil {
-		socks = socks[1:] // listenOn closed its socket
+		socks = socks[1:] // ListenOn closed its socket
 		return fail(err)
 	}
 	for i, s := range socks[1:] {
-		rcvBuf, sndBuf := tuneUDPBuffers(s)
-		m, merr := newMux(s, cfg, rcvBuf, sndBuf) // closes s on error
+		m, merr := NewMux(s, cfg) // closes s on error
 		if merr == nil {
 			if merr = m.attachListener(l); merr != nil {
 				m.Close() //nolint:errcheck

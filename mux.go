@@ -42,9 +42,10 @@ type Mux struct {
 
 	// Secure UDT state, nil without a PSK. keys is derived once per Mux;
 	// cookies is the rotating stateless source-address cookie generator.
-	// hsOut is the reusable encode buffer for pre-authentication replies
-	// (cookie challenges) — touched only on the readLoop goroutine, so a
-	// spoofed-source handshake flood is answered without allocating.
+	// hsOut is the reusable encode buffer for the handshakes the read loop
+	// originates (responses, cookie challenges) — touched only on the
+	// readLoop goroutine, so a spoofed-source handshake flood is answered
+	// without allocating.
 	keys    *secure.Keys
 	cookies *secure.CookieSource
 	hsOut   [hsBufSize]byte
@@ -82,40 +83,38 @@ type Mux struct {
 // client keeps requesting until answered or timed out).
 const hsRetryUS = 250_000
 
-// pendingDial tracks one in-flight Mux.Dial handshake. It is a poolTask:
-// instead of a per-dial runtime timer and ticker, the retransmission
-// schedule is an intrusive timer on a scheduler shard's wheel, so a churn
-// of thousands of concurrent dials costs zero allocations and zero extra
-// goroutines in the timer layer.
+// pendingDial tracks one in-flight client handshake — an ordinary dial or
+// a rendezvous; Mux.connect runs both. It is a poolTask: instead of a
+// per-dial runtime timer and ticker, the retransmission schedule is an
+// intrusive timer on a scheduler shard's wheel, so a churn of thousands of
+// concurrent dials costs zero allocations and zero extra goroutines in the
+// timer layer.
 type pendingDial struct {
-	connID int32
-	raddr  net.Addr
-	resp   chan hsResp // buffered 1; first response wins
+	m     *Mux
+	shard *poolShard
+	flow  *muxFlow         // our seat on the socket; flow.id keys m.pending
+	req   packet.Handshake // the request as first sent; read-only once published
+	buf   []byte           // encoded request (cookie echoed, once challenged), resent as-is
 
-	m        *Mux
-	shard    *poolShard
-	buf      []byte     // encoded handshake request, resent as-is
-	deadline int64      // µs on the shard clock; after this the dial dies
-	dead     chan error // buffered 1; delivers ErrTimeout or a send error
+	deadline int64       // µs on the shard clock; after this the dial dies
+	resp     chan hsResp // buffered 1; first routed handshake wins
+	dead     chan error  // buffered 1; delivers ErrTimeout or a send error
 	schedSt  schedState
 
 	// Rendezvous state, zero for ordinary dials (see Mux.Rendezvous). While
 	// the dial is pending it is registered in m.rdv under rdvKey; a crossing
 	// request that loses the tie-break against req is answered by building
-	// the connection directly on flow and delivering it through estab.
-	rdvKey   string
-	rdvNonce uint64
-	isn      int32
-	flow     *muxFlow
-	req      packet.Handshake
-	estab    chan *Conn // buffered 1; a won crossing delivers the conn here
+	// the connection directly on flow and delivering it through estab. A nil
+	// estab is never selected, so one wait loop serves both kinds of dial.
+	rdvKey string
+	estab  chan *Conn // buffered 1; a won crossing delivers the conn here
 }
 
 func (pd *pendingDial) sched() *schedState { return &pd.schedSt }
 
 // runTask fires on the shard worker at each retransmission deadline:
 // resend the request, or declare the dial dead past its deadline. The
-// dialing goroutine is parked on pd.resp/pd.dead the whole time.
+// dialing goroutine is parked in await the whole time.
 func (pd *pendingDial) runTask() (int64, bool) {
 	now := pd.shard.clock.Now()
 	if now >= pd.deadline {
@@ -125,7 +124,7 @@ func (pd *pendingDial) runTask() (int64, bool) {
 		}
 		return taskNever, false
 	}
-	if _, err := pd.m.sock.WriteTo(pd.buf, pd.raddr); err != nil {
+	if _, err := pd.m.sock.WriteTo(pd.buf, pd.flow.raddr); err != nil {
 		select {
 		case pd.dead <- fmt.Errorf("udt: handshake: %w", err):
 		default:
@@ -166,16 +165,16 @@ type batchReader interface {
 
 // NewMux wraps pc as a shared multi-flow socket and starts its read loop.
 // It takes ownership of pc — the transport is closed by Mux.Close — and
-// cfg (nil for defaults) supplies the parameters every flow inherits.
+// cfg (nil for defaults) supplies the parameters every flow inherits. A
+// UDP socket gets large kernel buffers requested on it; the sizes the OS
+// granted surface in every flow's Stats.
 func NewMux(pc PacketConn, cfg *Config) (*Mux, error) {
-	rcv, snd := 0, 0
-	if u, ok := pc.(*net.UDPConn); ok {
-		rcv, snd = tuneUDPBuffers(u)
-	}
-	return newMux(pc, cfg, rcv, snd)
+	return newMux(pc, cfg, 0)
 }
 
-func newMux(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Mux, error) {
+// newMux is NewMux with the scheduler sized by the caller: shards > 0
+// overrides Config.PoolShards (see connectOn).
+func newMux(pc PacketConn, cfg *Config, shards int) (*Mux, error) {
 	var c Config
 	if cfg != nil {
 		c = *cfg
@@ -185,16 +184,22 @@ func newMux(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Mux, error) {
 		return nil, err
 	}
 	c.fill()
+	if shards == 0 {
+		shards = c.PoolShards
+	}
 	m := &Mux{
-		cfg:       c,
-		sock:      pc,
-		udpRcvBuf: rcvBuf,
-		udpSndBuf: sndBuf,
-		pending:   make(map[int32]*pendingDial),
-		rdv:       make(map[string]*pendingDial),
-		accepted:  make(map[string]*acceptEntry),
-		conns:     make(map[*Conn]struct{}),
-		done:      make(chan struct{}),
+		cfg:      c,
+		sock:     pc,
+		pending:  make(map[int32]*pendingDial),
+		rdv:      make(map[string]*pendingDial),
+		accepted: make(map[string]*acceptEntry),
+		conns:    make(map[*Conn]struct{}),
+		done:     make(chan struct{}),
+	}
+	if u, ok := pc.(*net.UDPConn); ok {
+		// Accepted and dialed connections copy these, so they must be known
+		// before the read loop starts.
+		m.udpRcvBuf, m.udpSndBuf = tuneUDPBuffers(u)
 	}
 	if len(c.PSK) > 0 {
 		m.keys = secure.DeriveKeys(c.PSK)
@@ -206,7 +211,7 @@ func newMux(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Mux, error) {
 		m.cookies = secure.NewCookieSource(seed(), seed(), secure.DefaultCookieInterval)
 	}
 	m.core = mux.NewCore(m.handleHandshake)
-	m.pool = newConnPool(c.PoolShards, c.Ledger)
+	m.pool = newConnPool(shards, c.Ledger)
 	m.reader = newBatchReader(pc, c.BatchSize, !c.DisableOffload, &m.ostats)
 	if m.reader == nil {
 		m.reader = &singleReader{pc: pc, buf: make([]byte, 65536)}
@@ -416,14 +421,14 @@ func (f *muxFlow) offloadActive() bool {
 	return false
 }
 
-func (f *muxFlow) groCounters() (uint64, uint64) {
-	return f.m.ostats.groReads.Load(), f.m.ostats.groSegments.Load()
-}
-
-func (f *muxFlow) muxCounters() (uint64, uint64) { return f.m.core.Counters() }
-
-func (f *muxFlow) secCounters() (uint64, uint64) {
-	return f.m.authRejects.Load(), f.m.cookieSent.Load()
+// sockStats fills in the shared socket's totals: demultiplexer drops,
+// pre-connection authentication counters and receive-offload counters.
+func (f *muxFlow) sockStats(s Stats) Stats {
+	s.MuxUnknownDest, s.MuxShortDatagram = f.m.core.Counters()
+	s.AuthRejects += f.m.authRejects.Load()
+	s.CookieSent = f.m.cookieSent.Load()
+	s.GROReads, s.GROSegments = f.m.ostats.groReads.Load(), f.m.ostats.groSegments.Load()
+	return s
 }
 
 // release tears one flow out of every table; it is each Conn's closer.
@@ -467,169 +472,277 @@ func (m *Mux) Dial(raddr net.Addr) (*Conn, error) {
 	if raddr == nil {
 		return nil, errors.New("udt: mux dial: nil remote address")
 	}
+	return m.connect(m.newDial(raddr))
+}
+
+// flowConfig is the Config a new flow starts negotiating from. With ext
+// (both ends will prefix their datagrams with a socket ID) it leaves room
+// for the destination prefix, so prefix + packet stay within the datagram
+// budget; the reduced MSS is what gets advertised, so the peer's packets
+// fit under the path MTU too.
+func (m *Mux) flowConfig(ext bool) Config {
 	cfg := m.cfg
-	// Leave room in each datagram for the destination prefix; the reduced
-	// MSS is advertised so the peer's packets also fit under the path MTU.
-	cfg.MSS -= mux.DestPrefix
-	if cfg.MSS < 96 {
-		cfg.MSS = 96
+	if ext {
+		cfg.MSS = max(cfg.MSS-mux.DestPrefix, 96)
 	}
+	return cfg
+}
 
+// newDial allocates the local half of an outbound connection: a flow
+// holding a fresh socket ID, and the request advertising it. Rendezvous
+// adds its option before handing the dial to connect.
+func (m *Mux) newDial(raddr net.Addr) *pendingDial {
 	flow := &muxFlow{m: m, raddr: cloneAddr(raddr)}
-	id := m.core.AllocID(m.randInt31, flow)
-	flow.id = id
-	isn := m.randInt31() & seqno.Max
-	connID := m.randInt31()
-	shard := m.pool.shard()
-	pd := &pendingDial{
-		connID: connID, raddr: flow.raddr, resp: make(chan hsResp, 1),
-		m: m, shard: shard,
-		deadline: shard.clock.Now() + cfg.HandshakeTimeout.Microseconds(),
-		dead:     make(chan error, 1),
+	flow.id = m.core.AllocID(m.randInt31, flow)
+	cfg := m.flowConfig(true)
+	return &pendingDial{
+		m: m, shard: m.pool.shard(), flow: flow,
+		req: packet.Handshake{
+			Version:    packet.Version,
+			InitSeq:    m.randInt31() & seqno.Max,
+			MSS:        int32(cfg.MSS),
+			FlowWindow: int32(cfg.MaxFlowWindow),
+			ReqType:    packet.HSRequest,
+			ConnID:     m.randInt31(),
+			SockID:     flow.id,
+		},
+		buf:  make([]byte, hsBufSize),
+		resp: make(chan hsResp, 1),
+		dead: make(chan error, 1),
 	}
+}
 
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.core.Unregister(id)
-		return nil, ErrClosed
+// encode signs req (with a PSK) and encodes it into the retransmission
+// buffer. The wheel must not be resending meanwhile: the dial is either
+// not yet started or detached.
+func (pd *pendingDial) encode(req *packet.Handshake) error {
+	if pd.m.keys != nil {
+		if err := signHandshakeHS(pd.m.keys, req, nil); err != nil {
+			return err
+		}
 	}
-	m.pending[id] = pd
-	m.mu.Unlock()
-	fail := func(err error) (*Conn, error) {
-		m.mu.Lock()
-		delete(m.pending, id)
-		m.mu.Unlock()
-		m.core.Unregister(id)
+	n, err := packet.EncodeHandshake(pd.buf[:cap(pd.buf)], req, 0)
+	pd.buf = pd.buf[:n]
+	return err
+}
+
+// start sends the encoded request and parks the dial on its shard's
+// timing wheel, which owns the 250 ms retransmission cadence and the
+// overall deadline (no per-dial runtime timers).
+func (pd *pendingDial) start() error {
+	if _, err := pd.m.sock.WriteTo(pd.buf, pd.flow.raddr); err != nil {
+		return fmt.Errorf("udt: handshake: %w", err)
+	}
+	pd.shard.attach(pd)
+	pd.shard.sleep(pd, pd.shard.clock.Now()+hsRetryUS)
+	return nil
+}
+
+// await parks the dialing goroutine until the handshake resolves: with
+// the peer's acceptable response, with a connection the read loop built
+// from a won rendezvous crossing, or with an error. The read loop routes
+// handshakes addressed to this dial into pd.resp (responses arrive bare;
+// internal/mux hands them to handleHandshake, which matches them by our
+// socket ID or, for old peers, by connection ID and address). Only an
+// HSResponse completes the dial. On a secure dial a cookie challenge
+// restarts the request with the cookie echoed, and a response that fails
+// authentication is ignored — an off-path forgery must not be able to
+// kill the dial — while the wheel keeps retransmitting until the real
+// answer or the deadline.
+func (pd *pendingDial) await() (r hsResp, won *Conn, err error) {
+	m := pd.m
+	for {
+		select {
+		case won = <-pd.estab:
+			return r, won, nil
+		case r = <-pd.resp:
+		case err = <-pd.dead:
+			return r, nil, err
+		case <-m.done:
+			return r, nil, ErrClosed
+		}
+		hs := &r.hs
+		switch {
+		case hs.ReqType == packet.HSCookie && m.keys != nil:
+			// Swap the retransmission buffer out from under the wheel:
+			// detach guarantees no resend is in flight, then re-arm.
+			pd.shard.detach(pd)
+			req := pd.req
+			req.Cookie = hs.Cookie
+			if err = pd.encode(&req); err == nil {
+				err = pd.start()
+			}
+			if err != nil {
+				return r, nil, err
+			}
+		case hs.ReqType != packet.HSResponse:
+			// A challenge nobody asked for is not an answer; keep waiting.
+		case m.keys == nil:
+			return r, nil, nil
+		case !hs.Sec():
+			if !m.cfg.AllowUnauth {
+				err = errAuthRequired
+			}
+			return r, nil, err // else: peer is paper-era; negotiate down to clear
+		case verifyHandshakeHS(m.keys, hs, pd.req.Nonce[:]):
+			return r, nil, nil
+		default:
+			m.authRejects.Add(1) // forged or corrupt; keep waiting for the real one
+		}
+	}
+}
+
+// connect runs the client handshake for a dial built by newDial — the one
+// client connect path: Dial, Rendezvous and their private-socket wrappers
+// all end here.
+func (m *Mux) connect(pd *pendingDial) (*Conn, error) {
+	flow := pd.flow
+	if m.keys != nil {
+		pd.req.SecFlags = m.cfg.secFlags()
+		fillNonce(&pd.req.Nonce, m.randInt31)
+	}
+	// The read loop's tie-break reads pd.req the moment pd is visible in
+	// the rendezvous table (the peer's crossing request can land before we
+	// send ours), so the request is fully built — and signed — before pd is
+	// published.
+	err := pd.encode(&pd.req)
+	if err == nil {
+		err = m.publish(pd)
+	}
+	if err != nil {
+		m.core.Unregister(flow.id)
 		return nil, err
 	}
 
-	req := packet.Handshake{
-		Version:    packet.Version,
-		InitSeq:    isn,
-		MSS:        int32(cfg.MSS),
-		FlowWindow: int32(cfg.MaxFlowWindow),
-		ReqType:    packet.HSRequest,
-		ConnID:     connID,
-		SockID:     id,
-	}
-	if m.keys != nil {
-		req.SecFlags = cfg.secFlags()
-		fillNonce(&req.Nonce, m.randInt31)
-		if err := signHandshakeHS(m.keys, &req, nil); err != nil {
-			return fail(err)
-		}
-	}
-	buf := make([]byte, hsBufSize)
-	n, err := packet.EncodeHandshake(buf, &req, 0)
-	if err != nil {
-		return fail(err)
-	}
-
-	// Send the request, then park this goroutine: the scheduler shard's
-	// timing wheel owns the 250 ms retransmission cadence and the overall
-	// deadline (no per-dial runtime timers). The read loop routes the
-	// response back to us (responses arrive bare; internal/mux hands them
-	// to handleHandshake, which matches them by our socket ID or, for old
-	// peers, by connection ID and address).
-	if _, err := m.sock.WriteTo(buf[:n], raddr); err != nil {
-		return fail(fmt.Errorf("udt: handshake: %w", err))
-	}
-	pd.buf = buf[:n]
-	shard.attach(pd)
-	shard.sleep(pd, shard.clock.Now()+hsRetryUS)
-	// Wait for an acceptable response. On a secure dial this is a loop: a
-	// cookie challenge restarts the request with the cookie echoed, and a
-	// response that fails authentication is ignored — an off-path forgery
-	// must not be able to kill the dial — while the wheel keeps
-	// retransmitting until the real answer or the deadline.
+	pd.deadline = pd.shard.clock.Now() + m.cfg.HandshakeTimeout.Microseconds()
 	var r hsResp
-	for {
-		select {
-		case r = <-pd.resp:
-		case err := <-pd.dead:
-			shard.detach(pd)
-			return fail(err)
-		case <-m.done:
-			shard.detach(pd)
-			return fail(ErrClosed)
-		}
-		if m.keys == nil {
-			break
-		}
-		hs := r.hs
-		if hs.ReqType == packet.HSCookie {
-			req.Cookie = hs.Cookie
-			if err := signHandshakeHS(m.keys, &req, nil); err != nil {
-				shard.detach(pd)
-				return fail(err)
-			}
-			n, err := packet.EncodeHandshake(buf, &req, 0)
-			if err != nil {
-				shard.detach(pd)
-				return fail(err)
-			}
-			// Swap the retransmission buffer out from under the wheel:
-			// detach guarantees no resend is in flight, then re-arm.
-			shard.detach(pd)
-			pd.buf = buf[:n]
-			if _, err := m.sock.WriteTo(pd.buf, raddr); err != nil {
-				return fail(fmt.Errorf("udt: handshake: %w", err))
-			}
-			shard.attach(pd)
-			shard.sleep(pd, shard.clock.Now()+hsRetryUS)
-			continue
-		}
-		if !hs.Sec() {
-			if m.cfg.AllowUnauth {
-				break // peer is paper-era; negotiate down to clear
-			}
-			shard.detach(pd)
-			return fail(errAuthRequired)
-		}
-		if !verifyHandshakeHS(m.keys, &hs, req.Nonce[:]) {
-			m.authRejects.Add(1)
-			continue // forged or corrupt; keep waiting for the real one
-		}
-		break
+	var won *Conn
+	if err = pd.start(); err == nil {
+		r, won, err = pd.await()
+		pd.shard.detach(pd)
 	}
-	shard.detach(pd)
-	m.mu.Lock()
-	delete(m.pending, id)
-	m.mu.Unlock()
+	if !m.retire(pd) && won == nil {
+		// The read loop accepted a crossing concurrently with whatever ended
+		// the wait. That connection is the one both sides already committed
+		// to, so a stray response — or a timeout — is dropped in its favour.
+		won = <-pd.estab
+	}
+	if won != nil {
+		return won, nil
+	}
+	if err != nil {
+		m.core.Unregister(flow.id)
+		return nil, err
+	}
 
-	hs := r.hs
-	// Negotiate downwards.
-	if int(hs.MSS) < cfg.MSS && hs.MSS >= 96 {
-		cfg.MSS = int(hs.MSS)
-	}
-	if int(hs.FlowWindow) < cfg.MaxFlowWindow && hs.FlowWindow > 0 {
-		cfg.MaxFlowWindow = int(hs.FlowWindow)
-	}
-	flow.peerID = hs.SockID
+	flow.peerID = r.hs.SockID
 	if flow.peerID == 0 {
 		// Old peer: its datagrams arrive bare; route them by address.
 		flow.addrKey = r.fromKey
 		m.core.RegisterAddr(flow.addrKey, flow)
 	}
-	cfg.sockID = id
-	var sec *secure.Session
-	if m.keys != nil && hs.Sec() {
-		sec = secure.NewSession(m.keys, req.Nonce[:], hs.Nonce[:], true, isn, hs.InitSeq,
-			grantAEAD(req.SecFlags, hs.SecFlags))
-	}
-	conn := newConn(cfg, flow, func() { m.release(flow) }, m.sock.LocalAddr(), flow.raddr, isn, hs.InitSeq, m.pool.shard(), sec)
-	conn.mu.Lock()
-	conn.udpRcvBuf, conn.udpSndBuf = m.udpRcvBuf, m.udpSndBuf
-	conn.mu.Unlock()
+	var conn *Conn
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		conn.Close() //nolint:errcheck
-		return nil, ErrClosed
+	err = ErrClosed
+	if !m.closed {
+		conn, err = m.establishLocked(flow, &pd.req, &r.hs)
 	}
-	m.conns[conn] = struct{}{}
 	m.mu.Unlock()
+	if err != nil {
+		m.release(flow) // the demux registrations; there is no conn yet
+	}
+	return conn, err
+}
+
+// publish makes a dial visible to the read loop: responses route to it by
+// socket ID, crossing requests (for a rendezvous) by peer address.
+func (m *Mux) publish(pd *pendingDial) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return ErrClosed
+	}
+	if pd.rdvKey != "" {
+		if m.rdv[pd.rdvKey] != nil {
+			return fmt.Errorf("udt: a rendezvous with %s is already in progress", pd.rdvKey)
+		}
+		m.rdv[pd.rdvKey] = pd
+	}
+	m.pending[pd.flow.id] = pd
+	return nil
+}
+
+// retire takes a dial out of the tables and reports whether its fate is
+// still the dialing goroutine's to decide. False means a crossing the read
+// loop accepted got there first: the established connection is in (or is
+// guaranteed to arrive in) pd.estab.
+func (m *Mux) retire(pd *pendingDial) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.pending, pd.flow.id)
+	if pd.rdvKey == "" {
+		return true
+	}
+	if m.rdv[pd.rdvKey] != pd {
+		return false
+	}
+	delete(m.rdv, pd.rdvKey)
+	return true
+}
+
+// establishLocked puts a Conn on flow — the one place that happens — from
+// the two halves of a completed handshake: ours and the peer's. On the
+// dialing side ours is the request we sent and theirs the response that
+// answered it. On the answering side theirs is the request and ours the
+// response about to be sent: the caller fills in whom it is from and to,
+// and the outcome of the negotiation (MSS, window and, with a PSK, the
+// security option, nonce and authenticator) is written into it here, so
+// what is pinned for re-answers and put on the wire is exactly what the
+// connection was built from. Callers hold m.mu and have checked m.closed.
+func (m *Mux) establishLocked(flow *muxFlow, ours, theirs *packet.Handshake) (*Conn, error) {
+	cfg := m.flowConfig(ours.Ext())
+	// Negotiate downwards.
+	if int(theirs.MSS) < cfg.MSS && theirs.MSS >= 96 {
+		cfg.MSS = int(theirs.MSS)
+	}
+	if int(theirs.FlowWindow) < cfg.MaxFlowWindow && theirs.FlowWindow > 0 {
+		cfg.MaxFlowWindow = int(theirs.FlowWindow)
+	}
+	cfg.sockID = flow.id
+	dialed := ours.ReqType == packet.HSRequest
+	authed := m.keys != nil && theirs.Sec()
+	aead := authed && grantAEAD(m.cfg.secFlags(), theirs.SecFlags)
+	if !dialed {
+		ours.MSS, ours.FlowWindow = int32(cfg.MSS), int32(cfg.MaxFlowWindow)
+		if authed {
+			ours.SecFlags = secure.FlagAuth
+			if aead {
+				ours.SecFlags |= secure.FlagAEAD
+			}
+			fillNonce(&ours.Nonce, m.randInt31)
+			// The response authenticator binds the requester's nonce, so a
+			// response captured from another connection fails its check. It
+			// is computed once here; re-answers to duplicate requests reuse
+			// it, staying bit-identical to the original.
+			if err := signHandshakeHS(m.keys, ours, theirs.Nonce[:]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var sec *secure.Session
+	if authed {
+		cli, srv := ours, theirs
+		if !dialed {
+			cli, srv = theirs, ours
+		}
+		sec = secure.NewSession(m.keys, cli.Nonce[:], srv.Nonce[:], dialed, ours.InitSeq, theirs.InitSeq, aead)
+	}
+	conn := newConn(cfg, flow, func() { m.release(flow) }, m.sock.LocalAddr(), flow.raddr, ours.InitSeq, theirs.InitSeq, m.pool.shard(), sec)
+	conn.udpRcvBuf, conn.udpSndBuf = m.udpRcvBuf, m.udpSndBuf
+	m.conns[conn] = struct{}{}
+	if flow.acceptKey != "" {
+		m.accepted[flow.acceptKey] = &acceptEntry{resp: *ours, conn: conn}
+	}
 	flow.conn.Store(conn)
 	return conn, nil
 }
@@ -728,51 +841,61 @@ func (m *Mux) handleHandshake(raw []byte, from net.Addr) {
 	}
 }
 
+// reply encodes a handshake we originate on the read loop — a response or
+// a cookie challenge — and sends it to the requester. The encode buffer is
+// reused, so answering a flood allocates nothing here; a lost reply is
+// repaired by the peer's retransmitted request.
+func (m *Mux) reply(hs *packet.Handshake, to net.Addr) {
+	if n, err := packet.EncodeHandshake(m.hsOut[:], hs, 0); err == nil {
+		m.sock.WriteTo(m.hsOut[:n], to) //nolint:errcheck
+	}
+}
+
+// authentic checks an incoming request's handshake authenticator (HMAC
+// verified against the raw bytes); a clear request passes only when
+// AllowUnauth negotiates down to the clear protocol. Refusals are counted.
+func (m *Mux) authentic(hs *packet.Handshake, raw []byte) bool {
+	if m.keys == nil {
+		return true
+	}
+	ok := m.cfg.AllowUnauth
+	if hs.Sec() {
+		ok = verifyHandshakeRaw(m.keys, raw, nil)
+	}
+	if !ok {
+		m.authRejects.Add(1)
+	}
+	return ok
+}
+
 // gateRequest runs the pre-connection Secure UDT checks on an incoming
 // request, cheapest first, before any state is allocated or even a map key
 // formatted: the source-address cookie (one SipHash; missing or stale →
-// a stateless challenge), then the handshake authenticator (HMAC verified
-// against the raw bytes). It reports whether the request may proceed, and
-// whether the sealed data channel was granted. Runs on the readLoop
-// goroutine; the reply buffer is reused, so a spoofed-source flood
-// allocates nothing here.
-func (m *Mux) gateRequest(hs *packet.Handshake, from net.Addr, raw []byte) (ok, aead bool) {
-	if m.keys == nil {
-		return true, false
-	}
-	if !hs.Sec() {
-		if !m.cfg.AllowUnauth {
-			m.authRejects.Add(1)
-			return false, false
+// a stateless challenge), then the handshake authenticator. It reports
+// whether the request may proceed. Runs on the readLoop goroutine.
+func (m *Mux) gateRequest(hs *packet.Handshake, from net.Addr, raw []byte) bool {
+	if m.keys != nil && hs.Sec() {
+		var ab [64]byte
+		addr := cookieAddr(ab[:0], from)
+		now := time.Now().UnixMicro()
+		if !m.cookies.Valid(now, addr, hs.Cookie) {
+			m.cookieSent.Add(1)
+			m.reply(&packet.Handshake{
+				Version:    packet.Version,
+				ReqType:    packet.HSCookie,
+				ConnID:     hs.ConnID,
+				PeerSockID: hs.SockID,
+				SecFlags:   secure.FlagAuth,
+				Cookie:     m.cookies.Cookie(now, addr),
+			}, from)
+			return false
 		}
-		return true, false // negotiated down to the clear protocol
 	}
-	var ab [64]byte
-	addr := cookieAddr(ab[:0], from)
-	now := time.Now().UnixMicro()
-	if !m.cookies.Valid(now, addr, hs.Cookie) {
-		m.cookieSent.Add(1)
-		ch := packet.Handshake{
-			Version:    packet.Version,
-			ReqType:    packet.HSCookie,
-			ConnID:     hs.ConnID,
-			PeerSockID: hs.SockID,
-			SecFlags:   secure.FlagAuth,
-			Cookie:     m.cookies.Cookie(now, addr),
-		}
-		if n, err := packet.EncodeHandshake(m.hsOut[:], &ch, 0); err == nil {
-			m.sock.WriteTo(m.hsOut[:n], from) //nolint:errcheck // client re-requests on loss
-		}
-		return false, false
-	}
-	if !verifyHandshakeRaw(m.keys, raw, nil) {
-		m.authRejects.Add(1)
-		return false, false
-	}
-	return true, grantAEAD(m.cfg.secFlags(), hs.SecFlags)
+	return m.authentic(hs, raw)
 }
 
-// completeDial routes a handshake response to the dial waiting for it. A
+// completeDial routes a handshake addressed to one of our dials — a
+// response, or a cookie challenge — to the goroutine waiting in await. A
 // Mux-backed peer echoes our socket ID in PeerSockID — an exact table
 // match; an old peer's 28-byte response is matched by connection ID and
 // source address.
@@ -780,12 +903,12 @@ func (m *Mux) completeDial(hs packet.Handshake, from net.Addr) {
 	m.mu.Lock()
 	var pd *pendingDial
 	if hs.PeerSockID != 0 {
-		if p := m.pending[hs.PeerSockID]; p != nil && p.connID == hs.ConnID {
+		if p := m.pending[hs.PeerSockID]; p != nil && p.req.ConnID == hs.ConnID {
 			pd = p
 		}
 	} else {
 		for _, p := range m.pending {
-			if p.connID == hs.ConnID && addrEqual(from, p.raddr) {
+			if p.req.ConnID == hs.ConnID && addrEqual(from, p.flow.raddr) {
 				pd = p
 				break
 			}
@@ -801,26 +924,29 @@ func (m *Mux) completeDial(hs packet.Handshake, from net.Addr) {
 	}
 }
 
+// acceptKey is the accepted-table key for a request: requests are
+// deduplicated by (address, connection ID, peer socket ID).
+func acceptKey(hs *packet.Handshake, from net.Addr) string {
+	return from.String() + "|" + strconv.FormatInt(int64(hs.ConnID), 10) +
+		"|" + strconv.FormatInt(int64(hs.SockID), 10)
+}
+
 // answerRequest accepts (or re-answers) a connection request. Requests
-// are deduplicated by (address, connection ID, peer socket ID), so one
-// client address can carry many multiplexed flows, and a request whose
-// response was lost is answered again with identical parameters — the
-// retry is indistinguishable from the original on the client side.
+// are deduplicated by acceptKey, so one client address can carry many
+// multiplexed flows, and a request whose response was lost is answered
+// again with identical parameters — the retry is indistinguishable from
+// the original on the client side.
 func (m *Mux) answerRequest(hs packet.Handshake, from net.Addr, raw []byte) {
-	ok, aead := m.gateRequest(&hs, from, raw)
-	if !ok {
+	if !m.gateRequest(&hs, from, raw) {
 		return
 	}
-	secPeer := m.keys != nil && hs.Sec()
-	key := from.String() + "|" + strconv.FormatInt(int64(hs.ConnID), 10) +
-		"|" + strconv.FormatInt(int64(hs.SockID), 10)
+	key := acceptKey(&hs, from)
 	m.mu.Lock()
 	if m.closed || m.listener == nil {
 		m.mu.Unlock()
 		return
 	}
 	backlog := m.listener.backlog
-	var fresh *Conn
 	e := m.accepted[key]
 	if e == nil && len(backlog) == cap(backlog) {
 		// Backlog full: drop the request unanswered, like a full TCP listen
@@ -830,77 +956,39 @@ func (m *Mux) answerRequest(hs packet.Handshake, from net.Addr, raw []byte) {
 		m.mu.Unlock()
 		return
 	}
-	if e == nil {
-		cfg := m.cfg
-		if hs.Ext() {
-			// Both sides will prefix; shrink the packet to keep prefix +
-			// packet within the same datagram budget.
-			cfg.MSS -= mux.DestPrefix
-			if cfg.MSS < 96 {
-				cfg.MSS = 96
-			}
-		}
-		if int(hs.MSS) < cfg.MSS && hs.MSS >= 96 {
-			cfg.MSS = int(hs.MSS)
-		}
-		if int(hs.FlowWindow) < cfg.MaxFlowWindow && hs.FlowWindow > 0 {
-			cfg.MaxFlowWindow = int(hs.FlowWindow)
-		}
-		isn := m.randInt31() & seqno.Max
+	var resp packet.Handshake
+	var fresh *Conn
+	if e != nil {
+		resp = e.resp
+	} else {
 		flow := &muxFlow{m: m, raddr: cloneAddr(from), peerID: hs.SockID, acceptKey: key}
+		resp = packet.Handshake{
+			Version:    packet.Version,
+			InitSeq:    m.randInt31() & seqno.Max,
+			ReqType:    packet.HSResponse,
+			ConnID:     hs.ConnID,
+			PeerSockID: hs.SockID,
+		}
 		if hs.Ext() {
 			flow.id = m.core.AllocID(m.randInt31, flow)
+			resp.SockID = flow.id
 		} else {
-			// Old client: everything it sends is bare; route by address.
+			// Old client: it gets the 28-byte reply, and everything it sends
+			// is bare — routed by address, the one route that costs an
+			// Addr.String() per datagram.
 			flow.addrKey = from.String()
 			m.core.RegisterAddr(flow.addrKey, flow)
 		}
-		cfg.sockID = flow.id
-		resp := packet.Handshake{
-			Version:    packet.Version,
-			InitSeq:    isn,
-			MSS:        int32(cfg.MSS),
-			FlowWindow: int32(cfg.MaxFlowWindow),
-			ReqType:    packet.HSResponse,
-			ConnID:     hs.ConnID,
-			SockID:     flow.id, // zero for old clients → 28-byte reply
-			PeerSockID: hs.SockID,
+		var err error
+		if fresh, err = m.establishLocked(flow, &resp, &hs); err != nil {
+			m.mu.Unlock()
+			m.release(flow) // the demux registrations; there is no conn yet
+			return
 		}
-		var sec *secure.Session
-		if secPeer {
-			resp.SecFlags = secure.FlagAuth
-			if aead {
-				resp.SecFlags |= secure.FlagAEAD
-			}
-			fillNonce(&resp.Nonce, m.randInt31)
-			// The response authenticator binds the requester's nonce, so a
-			// response captured from another connection fails its check. It
-			// is computed once here; re-answers to duplicate requests reuse
-			// it, staying bit-identical to the original.
-			if err := signHandshakeHS(m.keys, &resp, hs.Nonce[:]); err != nil {
-				m.mu.Unlock()
-				m.release(flow) // both demux registrations; no conn yet
-				return
-			}
-			sec = secure.NewSession(m.keys, hs.Nonce[:], resp.Nonce[:], false, isn, hs.InitSeq, aead)
-		}
-		conn := newConn(cfg, flow, func() { m.release(flow) }, m.sock.LocalAddr(), flow.raddr, isn, hs.InitSeq, m.pool.shard(), sec)
-		conn.mu.Lock()
-		conn.udpRcvBuf, conn.udpSndBuf = m.udpRcvBuf, m.udpSndBuf
-		conn.mu.Unlock()
-		e = &acceptEntry{resp: resp, conn: conn}
-		m.accepted[key] = e
-		m.conns[conn] = struct{}{}
-		flow.conn.Store(conn)
-		fresh = conn
 	}
-	resp := e.resp
 	m.mu.Unlock()
 
-	out := make([]byte, hsBufSize)
-	if n, err := packet.EncodeHandshake(out, &resp, 0); err == nil {
-		m.sock.WriteTo(out[:n], from) //nolint:errcheck // client retries on loss
-	}
+	m.reply(&resp, from)
 	if fresh != nil {
 		select {
 		case backlog <- fresh:

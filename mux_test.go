@@ -3,6 +3,7 @@ package udt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -231,8 +232,11 @@ func TestMuxManyFlowsStress(t *testing.T) {
 }
 
 // TestMuxAcceptsOldClient checks the compatibility path for paper-era
-// clients: a private-socket DialOn client (no handshake extension) against
-// a Mux listener. The flow must run bare, routed by the client's address.
+// clients — the listener's by-address route — with a hand-rolled client on
+// a raw UDP socket (every client in this package now speaks the extended
+// handshake): a 28-byte request gets a 28-byte response, a bare data packet
+// reaches the accepted connection, and everything that comes back is
+// unprefixed. The flow must run bare, routed by the client's address.
 func TestMuxAcceptsOldClient(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0", nil)
 	if err != nil {
@@ -265,20 +269,83 @@ func TestMuxAcceptsOldClient(t *testing.T) {
 		acceptErr <- nil
 	}()
 
-	c, err := Dial(ln.Addr().String(), nil) // private socket, bare wire format
+	cli, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Write([]byte("hello")); err != nil {
+	defer cli.Close()
+	cli.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	// recv reads the next datagram, which — like everything an old client
+	// is sent — must not carry a socket-ID prefix.
+	in := make([]byte, 65536)
+	recv := func() []byte {
+		t.Helper()
+		n, _, err := cli.ReadFrom(in)
+		if err != nil {
+			t.Fatalf("old client read: %v", err)
+		}
+		if mux.IDValid(int32(binary.BigEndian.Uint32(in))) {
+			t.Fatalf("old client was sent a socket-ID-prefixed datagram: % x", in[:n])
+		}
+		return in[:n]
+	}
+
+	// The paper-era handshake: base fields only, no socket ID.
+	const oldHS = packet.CtrlHeaderSize + packet.HandshakeBody
+	req := packet.Handshake{
+		Version:    packet.Version,
+		InitSeq:    1000,
+		MSS:        1472,
+		FlowWindow: 8192,
+		ReqType:    packet.HSRequest,
+		ConnID:     77,
+	}
+	out := make([]byte, 1500)
+	n, err := packet.EncodeHandshake(out, &req, 0)
+	if err != nil || n != oldHS {
+		t.Fatalf("old-style request is %d bytes (err %v), want %d", n, err, oldHS)
+	}
+	if _, err := cli.WriteTo(out[:n], ln.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(c, buf); err != nil {
+	raw := recv()
+	if len(raw) != oldHS || !packet.IsHandshake(raw) {
+		t.Fatalf("response is %d bytes, want the %d-byte paper-era handshake", len(raw), oldHS)
+	}
+	ctrl, err := packet.DecodeControl(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf) != "world" {
-		t.Fatalf("client got %q", buf)
+	resp, err := packet.DecodeHandshake(ctrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ReqType != packet.HSResponse || resp.ConnID != req.ConnID || resp.Ext() {
+		t.Fatalf("response = %+v, want a bare response to conn %d", resp, req.ConnID)
+	}
+
+	// One bare data packet out; the server's reply comes back bare too
+	// (behind whatever bare control packets recv lets through).
+	n, err = packet.EncodeData(out, &packet.Data{Seq: req.InitSeq, Payload: []byte("hello")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.WriteTo(out[:n], ln.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		raw := recv()
+		if packet.IsControl(raw) {
+			continue
+		}
+		d, err := packet.DecodeData(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Seq != resp.InitSeq || string(d.Payload) != "world" {
+			t.Fatalf("client got seq %d %q, want seq %d \"world\"", d.Seq, d.Payload, resp.InitSeq)
+		}
+		break
 	}
 	if err := <-acceptErr; err != nil {
 		t.Fatal(err)
@@ -389,6 +456,96 @@ func TestMuxDialsOldServer(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("old server never received the data packet")
+	}
+}
+
+// TestMuxDialIgnoresStrayCookie pins that only a response completes a
+// dial: a clear dial (no PSK) that is sent a cookie challenge — addressed
+// exactly right, but all-zero where a response carries the parameters —
+// must keep waiting and complete on the real response that follows.
+func TestMuxDialIgnoresStrayCookie(t *testing.T) {
+	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	// The server answers the first request with the challenge and the
+	// retransmitted one like an old server would (bare wire format, so the
+	// data packet below needs no prefix).
+	const srvISN = 424242
+	out := make([]byte, 1500)
+	go func() {
+		buf := make([]byte, 65536)
+		for reqs := 0; ; reqs++ {
+			n, from, err := srv.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			ctrl, err := packet.DecodeControl(buf[:n])
+			if err != nil || ctrl.Type != packet.TypeHandshake {
+				return
+			}
+			hs, err := packet.DecodeHandshake(ctrl)
+			if err != nil {
+				return
+			}
+			reply := packet.Handshake{
+				Version:    packet.Version,
+				ReqType:    packet.HSCookie,
+				ConnID:     hs.ConnID,
+				PeerSockID: hs.SockID,
+				SecFlags:   1,
+				Cookie:     0xfeedface,
+			}
+			if reqs > 0 {
+				reply = packet.Handshake{
+					Version:    packet.Version,
+					InitSeq:    srvISN,
+					MSS:        hs.MSS,
+					FlowWindow: hs.FlowWindow,
+					ReqType:    packet.HSResponse,
+					ConnID:     hs.ConnID,
+				}
+			}
+			if n, err = packet.EncodeHandshake(out, &reply, 0); err == nil {
+				srv.WriteTo(out[:n], from) //nolint:errcheck
+			}
+			if reqs > 0 {
+				return
+			}
+		}
+	}()
+
+	m := newLoopbackMux(t, nil)
+	c, err := m.Dial(srv.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The first data packet of the response's sequence space is deliverable
+	// only if the connection was built from the response.
+	data := make([]byte, 64)
+	n, err := packet.EncodeData(data, &packet.Data{Seq: srvISN, Payload: []byte("ok")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.WriteTo(data[:n], m.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		buf := make([]byte, 2)
+		io.ReadFull(c, buf) //nolint:errcheck
+		got <- string(buf)
+	}()
+	select {
+	case s := <-got:
+		if s != "ok" {
+			t.Fatalf("read %q, want \"ok\"", s)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("dial did not complete with the response's InitSeq (cookie taken as the answer?)")
 	}
 }
 

@@ -5,6 +5,13 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
+# The benchmark is a nested module (bench/go.mod) that imports a dozen
+# udt/internal/... packages; ./... above does not reach it, so an internal
+# API change could break the benchmark without failing anything here.
+(cd bench && go vet ./... && go test ./...)
+# The root package's non-test line count — the shells around the one
+# engine — is a tracked outcome (ROADMAP, "quality of design").
+echo "root package non-test Go lines: $(ls *.go | grep -v _test | xargs wc -l | tail -1)"
 # Cross-compile gates: the Linux offload fast path (GSO/GRO, SO_REUSEPORT
 # groups, mmap sendfile) must keep the portable stubs compiling on
 # platforms that lack it.

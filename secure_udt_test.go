@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"udt/internal/mux"
 	"udt/internal/netem"
 	"udt/internal/packet"
 )
@@ -70,6 +71,17 @@ func secureDial(t *testing.T, seed int64, ccfg, scfg *Config) (*securePair, erro
 		t.Fatal("accept timed out")
 		return nil, nil
 	}
+}
+
+// stamped prefixes pkt with the server flow's socket ID, as the client's
+// seat on its socket stamps real traffic. A dialed flow is routed by that
+// ID, so an injected datagram reaches the connection only when it carries
+// it; the ID travels in the clear, so an on-path attacker knows it.
+func (p *securePair) stamped(pkt []byte) []byte {
+	out := make([]byte, mux.DestPrefix+len(pkt))
+	mux.PutDest(out, p.server.sock.(*muxFlow).id)
+	copy(out[mux.DestPrefix:], pkt)
+	return out
 }
 
 // echo pushes msg client→server and back, requiring both directions to
@@ -290,8 +302,9 @@ func TestSecureMuxDial(t *testing.T) {
 // TestSecureInjectedControlDropped establishes a sealed pair, then injects
 // a forged cleartext shutdown from the client's own address — the
 // strongest primitive an attacker without the PSK has, since source
-// addresses can be spoofed. The packet must be dropped and counted, and
-// the connection must keep working.
+// addresses can be spoofed and socket IDs read off the wire. The packet
+// must be dropped and counted, bare and stamped alike, and the connection
+// must keep working.
 func TestSecureInjectedControlDropped(t *testing.T) {
 	cfg := &Config{PSK: testPSK, AEAD: true}
 	p, err := secureDial(t, 51, cfg, cfg)
@@ -306,11 +319,24 @@ func TestSecureInjectedControlDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject through the client's endpoint so the forgery arrives on the
-	// server's real read loop, like any wire datagram.
+	// server's real read loop, like any wire datagram. Bare — what a
+	// paper-era attacker would send — it matches no route: the
+	// demultiplexer counts it and the connection never sees it.
+	unrouted := p.server.Stats().MuxUnknownDest
 	if _, err := p.epC.WriteTo(forged[:n], p.saddr); err != nil {
 		t.Fatal(err)
 	}
-
+	waitFor(t, "bare forgery not counted by the demultiplexer", func() bool {
+		return p.server.Stats().MuxUnknownDest == unrouted+1
+	})
+	if st := p.server.Stats(); st.AuthRejects != 0 {
+		t.Fatalf("bare forgery reached the connection: %+v", st)
+	}
+	// Stamped with the flow's socket ID it reaches the connection's
+	// authenticator, which must refuse it.
+	if _, err := p.epC.WriteTo(p.stamped(forged[:n]), p.saddr); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, "forged control packet not counted", func() bool {
 		return p.server.Stats().AuthRejects > 0
 	})
@@ -343,10 +369,18 @@ func TestSecureReplayedControlDropped(t *testing.T) {
 	sealed := append([]byte(nil), p.client.sec.SealCtrl(raw[:n])...)
 	p.client.mu.Unlock()
 
-	before := p.server.Stats().ReplayDrops
+	// Bare, the capture matches no route and never reaches the replay
+	// window; stamped with the flow's socket ID it does.
+	st := p.server.Stats()
+	before, unrouted := st.ReplayDrops, st.MuxUnknownDest
+	if _, err := p.epC.WriteTo(sealed, p.saddr); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "bare replay not counted by the demultiplexer", func() bool {
+		return p.server.Stats().MuxUnknownDest == unrouted+1
+	})
 	for i := 0; i < 2; i++ {
-		cp := append([]byte(nil), sealed...)
-		if _, err := p.epC.WriteTo(cp, p.saddr); err != nil {
+		if _, err := p.epC.WriteTo(p.stamped(sealed), p.saddr); err != nil {
 			t.Fatal(err)
 		}
 	}

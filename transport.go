@@ -1,13 +1,8 @@
 package udt
 
 import (
-	"fmt"
 	"net"
 	"time"
-
-	"udt/internal/packet"
-	"udt/internal/secure"
-	"udt/internal/seqno"
 )
 
 // PacketConn is the datagram transport a UDT endpoint runs over. It is the
@@ -66,132 +61,31 @@ func addrEqual(a, b net.Addr) bool {
 // DialOn takes ownership of pc: it is closed when the returned Conn closes,
 // and also when the handshake fails. cfg may be nil for defaults.
 func DialOn(pc PacketConn, raddr net.Addr, cfg *Config) (*Conn, error) {
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	if err := c.Validate(); err != nil {
-		pc.Close() //nolint:errcheck
+	return connectOn(pc, raddr, cfg, (*Mux).Dial)
+}
+
+// privateShards sizes the scheduler of a Mux built around one connection's
+// private socket: it carries exactly one flow, so one worker (plus the
+// read loop) is all it ever needs, whatever Config.PoolShards says.
+const privateShards = 1
+
+// connectOn is the private-socket wrapper behind DialOn and Rendezvous:
+// a Mux of pc's own, one connection made on it by connect, and the Mux
+// handed to that connection to tear down when it closes.
+func connectOn(pc PacketConn, raddr net.Addr, cfg *Config, connect func(*Mux, net.Addr) (*Conn, error)) (*Conn, error) {
+	m, err := newMux(pc, cfg, privateShards)
+	if err != nil {
 		return nil, err
 	}
-	c.fill()
-
-	isn := c.randInt31() & seqno.Max
-	connID := c.randInt31()
-	req := packet.Handshake{
-		Version:    packet.Version,
-		SockType:   0,
-		InitSeq:    isn,
-		MSS:        int32(c.MSS),
-		FlowWindow: int32(c.MaxFlowWindow),
-		ReqType:    packet.HSRequest,
-		ConnID:     connID,
-	}
-	var keys *secure.Keys
-	if len(c.PSK) > 0 {
-		keys = secure.DeriveKeys(c.PSK)
-		req.SecFlags = c.secFlags()
-		fillNonce(&req.Nonce, c.randInt31)
-	}
-	buf := make([]byte, hsBufSize)
-	n := 0
-	encodeReq := func() error {
-		if keys != nil {
-			if err := signHandshakeHS(keys, &req, nil); err != nil {
-				return err
-			}
-		}
-		var err error
-		n, err = packet.EncodeHandshake(buf, &req, 0)
-		return err
-	}
-	if err := encodeReq(); err != nil {
-		pc.Close() //nolint:errcheck
+	c, err := connect(m, raddr)
+	if err != nil {
+		m.Close() //nolint:errcheck
 		return nil, err
 	}
-
-	// Send the request, retrying every 250 ms until the response arrives.
-	// On a secure dial a cookie challenge restarts the request with the
-	// cookie echoed, and a response failing authentication is ignored.
-	deadline := time.Now().Add(c.HandshakeTimeout)
-	rbuf := make([]byte, 65536)
-	var resp packet.Handshake
-	for {
-		if time.Now().After(deadline) {
-			pc.Close() //nolint:errcheck
-			return nil, ErrTimeout
-		}
-		if _, err := pc.WriteTo(buf[:n], raddr); err != nil {
-			pc.Close() //nolint:errcheck
-			return nil, fmt.Errorf("udt: handshake: %w", err)
-		}
-		pc.SetReadDeadline(time.Now().Add(250 * time.Millisecond)) //nolint:errcheck
-		rn, from, err := pc.ReadFrom(rbuf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue // retry the handshake
-			}
-			pc.Close() //nolint:errcheck
-			return nil, fmt.Errorf("udt: handshake: %w", err)
-		}
-		if !addrEqual(from, raddr) || !packet.IsControl(rbuf[:rn]) {
-			continue
-		}
-		ctrl, err := packet.DecodeControl(rbuf[:rn])
-		if err != nil || ctrl.Type != packet.TypeHandshake {
-			continue
-		}
-		hs, err := packet.DecodeHandshake(ctrl)
-		if err != nil || hs.ConnID != connID {
-			continue
-		}
-		if keys != nil && hs.ReqType == packet.HSCookie {
-			req.Cookie = hs.Cookie
-			if err := encodeReq(); err != nil {
-				pc.Close() //nolint:errcheck
-				return nil, err
-			}
-			continue // the loop resends the cookie-bearing request
-		}
-		if hs.ReqType != packet.HSResponse {
-			continue
-		}
-		if keys != nil {
-			if !hs.Sec() {
-				if !c.AllowUnauth {
-					pc.Close() //nolint:errcheck
-					return nil, errAuthRequired
-				}
-			} else if !verifyHandshakeHS(keys, &hs, req.Nonce[:]) {
-				continue // forged or corrupt; keep waiting for the real one
-			}
-		}
-		resp = hs
-		break
-	}
-	pc.SetReadDeadline(time.Time{}) //nolint:errcheck
-
-	// Negotiate downwards.
-	if int(resp.MSS) < c.MSS && resp.MSS >= 96 {
-		c.MSS = int(resp.MSS)
-	}
-	if int(resp.FlowWindow) < c.MaxFlowWindow && resp.FlowWindow > 0 {
-		c.MaxFlowWindow = int(resp.FlowWindow)
-	}
-
-	var sec *secure.Session
-	if keys != nil && resp.Sec() {
-		sec = secure.NewSession(keys, req.Nonce[:], resp.Nonce[:], true, isn, resp.InitSeq,
-			grantAEAD(req.SecFlags, resp.SecFlags))
-	}
-
-	// A dedicated socket carries exactly one flow, so it gets a degenerate
-	// single-shard scheduler of its own; Conn.Close stops it.
-	pool := newConnPool(1, c.Ledger)
-	conn := newConn(c, newOwnedSock(pc, !c.DisableOffload), func() { pc.Close() }, pc.LocalAddr(), raddr, isn, resp.InitSeq, pool.shard(), sec)
-	conn.ownPool = pool
-	go dialedReadLoop(pc, conn)
-	return conn, nil
+	c.mu.Lock()
+	c.ownMux = m
+	c.mu.Unlock()
+	return c, nil
 }
 
 // ListenOn starts a UDT listener on the supplied transport. It is Listen
@@ -200,14 +94,7 @@ func DialOn(pc PacketConn, raddr net.Addr, cfg *Config) (*Conn, error) {
 // (paper-era clients). ListenOn takes ownership of pc — it is closed by
 // Listener.Close — and cfg may be nil for defaults.
 func ListenOn(pc PacketConn, cfg *Config) (*Listener, error) {
-	return listenOn(pc, cfg, 0, 0)
-}
-
-// listenOn builds a Mux the listener owns; the socket buffer sizes must
-// be known before the read loop starts, since accepted connections copy
-// them.
-func listenOn(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Listener, error) {
-	m, err := newMux(pc, cfg, rcvBuf, sndBuf)
+	m, err := NewMux(pc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,34 +105,4 @@ func listenOn(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Listener, error)
 	}
 	l.ownsMux = true
 	return l, nil
-}
-
-// dialedReadLoop feeds a dialed connection from its private transport.
-func dialedReadLoop(pc PacketConn, conn *Conn) {
-	buf := make([]byte, 65536)
-	for i := 0; ; i++ {
-		// A bounded read deadline stands in for RCV_TIMEO (§4.8): timers
-		// are serviced by the sender loop, so the read may simply retry.
-		// Refreshing it only periodically keeps the syscall off the
-		// per-packet hot path (§4.1).
-		if i%16 == 0 {
-			pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-		}
-		n, from, err := pc.ReadFrom(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				select {
-				case <-conn.closed:
-					return
-				default:
-					continue
-				}
-			}
-			return // transport closed
-		}
-		if !addrEqual(from, conn.raddr) {
-			continue
-		}
-		conn.handleDatagram(buf[:n])
-	}
 }

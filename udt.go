@@ -104,8 +104,9 @@ type Config struct {
 	// that service every flow on the shared socket (see internal/timerwheel
 	// and DESIGN.md §"Scaling to 100k flows"). Flows are passive state
 	// machines; goroutine count is O(PoolShards), not O(flows). Default
-	// GOMAXPROCS; clamped to [1, 64]. Dedicated-socket connections (Dial /
-	// DialOn) always use one private shard regardless of this setting.
+	// GOMAXPROCS; clamped to [1, 64]. Connections that own their socket
+	// (Dial, DialOn, Rendezvous) run on a private one-flow Mux, which always
+	// has exactly one shard regardless of this setting.
 	PoolShards int
 	// DisableOffload turns off UDP segmentation offload for endpoints using
 	// this Config: no UDP_SEGMENT sends, no UDP_GRO receives. The stack
@@ -137,9 +138,9 @@ type Config struct {
 	// PSK set; the channel is sealed when both ends request it.
 	AEAD bool
 
-	// sockID is this endpoint's socket ID on a shared (multiplexed)
-	// socket, filled in by Mux before the connection is wired; zero for a
-	// private socket. It flows into the engine (and perf records) via
+	// sockID is this endpoint's socket ID on its Mux's socket, filled in
+	// before the connection is wired; zero for a flow accepted from a
+	// paper-era client. It flows into the engine (and perf records) via
 	// coreConfig.
 	sockID int32
 }
@@ -292,7 +293,7 @@ type Stats struct {
 	// socket's demultiplexer dropped — destination socket ID (or peer
 	// address) not in its tables, and datagrams too short to classify.
 	// They are socket-wide totals (every flow on the same Mux reports the
-	// same values); zero when the connection has a private socket.
+	// same values); a dialed connection's private socket counts too.
 	MuxUnknownDest   uint64
 	MuxShortDatagram uint64
 	// GSOEnabled reports whether the send path can hand the kernel
@@ -314,7 +315,7 @@ type Stats struct {
 	// GROReads counts receive syscall deliveries on the shared socket that
 	// arrived as kernel-coalesced trains (UDP_GRO), and GROSegments the
 	// packets recovered from them. Like the mux drop counters they are
-	// socket-wide totals; zero on a private or non-UDP transport.
+	// socket-wide totals; zero on a non-UDP transport.
 	GROReads    uint64
 	GROSegments uint64
 	// Goroutines is the process goroutine count sampled when this snapshot
@@ -334,8 +335,8 @@ type Stats struct {
 	// CookieSent counts stateless cookie challenges the shared socket
 	// issued to handshake requests that had not yet proven their source
 	// address — under a spoofed-source flood this grows while no
-	// connection state is allocated. Socket-wide; zero on a private
-	// socket (dialed connections never answer requests).
+	// connection state is allocated. Socket-wide; zero on a dialed
+	// connection's private socket, which never answers requests.
 	CookieSent uint64
 	// ReplayDrops counts authenticated control packets this connection
 	// dropped because their sequence number was already accepted — e.g.

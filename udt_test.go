@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"udt/internal/mux"
+	"udt/internal/netem"
 )
 
 // pairOver establishes a client/server pair through the given address
@@ -46,7 +49,7 @@ func pair(t *testing.T, cfg *Config) (client, server *Conn, ln *Listener) {
 }
 
 func TestLoopbackSmallTransfer(t *testing.T) {
-	cli, srv, _ := pair(t, nil)
+	cli, srv, ln := pair(t, nil)
 	msg := []byte("hello, high performance world")
 	go func() {
 		cli.Write(msg)
@@ -57,6 +60,13 @@ func TestLoopbackSmallTransfer(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("got %q", got)
+	}
+	// A plain Dial is served on the socket-ID fast path, not by address.
+	if got := ln.m.Flows(); got != 1 {
+		t.Errorf("listener mux Flows() = %d, want 1 (dialed flow is socket-ID-routed)", got)
+	}
+	if st := srv.Stats(); st.MuxUnknownDest != 0 {
+		t.Errorf("server dropped %d unroutable datagrams, want 0", st.MuxUnknownDest)
 	}
 }
 
@@ -135,6 +145,28 @@ func TestDialNoListener(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", cfg); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
+
+	// DialOn over a netem endpoint nobody answers on: same error, within
+	// the handshake timeout, and the transport it took ownership of closed.
+	nw := netem.New(1, nil)
+	pc, err := nw.Endpoint("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := nw.Endpoint("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := DialOn(pc, peer.LocalAddr(), cfg); err != ErrTimeout {
+		t.Fatalf("DialOn err = %v, want ErrTimeout", err)
+	}
+	if took := time.Since(start); took > 2*cfg.HandshakeTimeout {
+		t.Errorf("DialOn gave up after %v, want about %v", took, cfg.HandshakeTimeout)
+	}
+	if _, err := pc.WriteTo([]byte("x"), peer.LocalAddr()); err == nil {
+		t.Error("DialOn left its transport open after a failed handshake")
+	}
 }
 
 func TestMultipleConnsOneListener(t *testing.T) {
@@ -199,8 +231,12 @@ func TestMSSNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if cli.cfg.MSS != 500 {
-		t.Fatalf("negotiated MSS %d, want 500", cli.cfg.MSS)
+	// Dial speaks the extended handshake, and the listener answers in kind:
+	// both ends prefix every datagram with the peer's socket ID, and the
+	// listener shaves the prefix off its own MSS before answering, so prefix
+	// + packet still fit the 500-byte datagram budget it was configured with.
+	if want := 500 - mux.DestPrefix; cli.cfg.MSS != want {
+		t.Fatalf("negotiated MSS %d, want %d", cli.cfg.MSS, want)
 	}
 	if _, err := cli.Write(make([]byte, 10000)); err != nil {
 		t.Fatal(err)
