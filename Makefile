@@ -46,7 +46,7 @@ bench:
 # (including the root package and the timer wheel) and Markdown link
 # integrity.
 docs:
-	$(GO) run ./scripts/doccheck . fabric udtfs internal/campaign internal/congestion internal/core internal/metrics internal/mux internal/netem internal/netem/chaos internal/timerwheel internal/timing internal/trace
+	$(GO) run ./scripts/doccheck
 	$(GO) run ./scripts/mdcheck
 
 # chaos runs the fixed-seed fault-injection matrix: full transfers of

@@ -319,7 +319,7 @@ func BenchmarkLoopbackGSO(b *testing.B) {
 
 // BenchmarkLoopbackAEAD is BenchmarkLoopbackGSO with Secure UDT fully on:
 // PSK-authenticated handshake, then every data packet sealed with
-// ChaCha20-Poly1305 in the send arena and opened in place on receive. The
+// AES-256-GCM in the send arena and opened in place on receive. The
 // delta against loopback_gso_mbps is the whole-stack crypto tax tracked in
 // BENCH_baseline.json as aead_mbps.
 func BenchmarkLoopbackAEAD(b *testing.B) {

@@ -21,7 +21,7 @@
 //
 // With -psk (both sides, min 16 bytes) the handshake is authenticated and
 // unauthenticated peers are refused; -aead additionally seals every data
-// packet with ChaCha20-Poly1305.
+// packet with AES-256-GCM.
 //
 // Both sides print the connection's final protocol statistics (congestion
 // controller, retransmissions, loss, RTT) and exit nonzero when a transfer
@@ -56,7 +56,7 @@ func main() {
 	rendezvous := flag.String("rendezvous", "", "local address for rendezvous connect (both sides dial, no listener)")
 	ccName := flag.String("cc", "", fmt.Sprintf("congestion controller for the sending side %v; default native", udt.CongestionControls()))
 	psk := flag.String("psk", "", "pre-shared key: authenticate the handshake (Config.PSK; min 16 bytes, both sides)")
-	aead := flag.Bool("aead", false, "seal data packets with ChaCha20-Poly1305 (Config.AEAD; requires -psk)")
+	aead := flag.Bool("aead", false, "seal data packets with AES-256-GCM (Config.AEAD; requires -psk)")
 	flag.Parse()
 
 	switch {

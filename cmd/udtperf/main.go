@@ -12,7 +12,7 @@
 //
 // With -psk (both sides, min 16 bytes) the handshake is authenticated and
 // unauthenticated peers are refused; -aead additionally seals every data
-// packet with ChaCha20-Poly1305. The monitor's authrej/cookie columns
+// packet with AES-256-GCM. The monitor's authrej/cookie columns
 // surface the corresponding Stats counters.
 //
 // With -monitor the client instead prints a live perfmon readout: one line
@@ -55,7 +55,7 @@ func main() {
 	batch := flag.Int("batch", 0, "send/receive batch size in packets (Config.BatchSize; 0 = default)")
 	shards := flag.Int("shards", 0, "server: SO_REUSEPORT socket group size (Config.ReusePortShards; 0 = one socket)")
 	psk := flag.String("psk", "", "pre-shared key: authenticate the handshake (Config.PSK; min 16 bytes, both sides)")
-	aead := flag.Bool("aead", false, "seal data packets with ChaCha20-Poly1305 (Config.AEAD; requires -psk)")
+	aead := flag.Bool("aead", false, "seal data packets with AES-256-GCM (Config.AEAD; requires -psk)")
 	flag.Parse()
 
 	switch {

@@ -160,7 +160,7 @@ func newConn(cfg Config, sock sockWriter, closer func(), laddr, raddr net.Addr, 
 	c.core = core.NewConn(cfg.coreConfig(isn), peerISN)
 	payload := cfg.MSS - packet.DataHeaderSize
 	if c.aead {
-		// The Poly1305 tag rides inside the packet's payload budget, so a
+		// The AEAD tag rides inside the packet's payload budget, so a
 		// sealed full packet is still exactly MSS on the wire (GSO trains
 		// stay uniform).
 		payload -= secure.Overhead
@@ -793,7 +793,8 @@ func (c *Conn) handleDatagram(raw []byte) {
 }
 
 // handleDatagramAt processes one UDP datagram that arrived at time now on
-// the connection's clock.
+// the connection's clock. On a secure connection raw is opened in place,
+// and a datagram that fails to open is dead: GCM zeroes what it refuses.
 func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 	if c.sec != nil {
 		// Open before the engine sees anything. Data packets are sealed

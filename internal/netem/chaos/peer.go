@@ -127,7 +127,7 @@ func NewPeer(o PeerOptions) *Peer {
 	}
 	pl := o.MSS - packet.DataHeaderSize
 	if o.Secure != nil {
-		// The Poly1305 tag rides inside the packet budget, exactly like the
+		// The AEAD tag rides inside the packet budget, exactly like the
 		// real stack: a sealed data packet is still one MSS on the wire.
 		pl -= secure.Overhead
 	}
@@ -344,7 +344,9 @@ func (p *Peer) transmit(b []byte) {
 }
 
 // Deliver is conn.Conn.handleDatagram without the locks: one arriving
-// datagram through the real engine at virtual time now.
+// datagram through the real engine at virtual time now. A secure peer
+// opens raw in place, and a datagram that fails to open is dead: GCM
+// zeroes what it refuses.
 func (p *Peer) Deliver(now int64, raw []byte) {
 	if p.sec != nil {
 		var ok bool

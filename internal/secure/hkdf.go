@@ -1,6 +1,7 @@
 package secure
 
 import (
+	"crypto/hmac"
 	"crypto/sha256"
 )
 
@@ -42,30 +43,14 @@ func hmacSHA256(key, m1, m2 []byte) [32]byte {
 	return sha256.Sum256(out[:])
 }
 
-// hkdfExtract computes PRK = HMAC(salt, ikm).
-func hkdfExtract(salt, ikm []byte) [32]byte {
-	if len(ikm) <= hmacMaxMsg {
-		return hmacSHA256(salt, ikm, nil)
-	}
-	// Long keys take the allocating path; extraction happens once per
-	// endpoint, never per packet.
-	var k [64]byte
-	copy(k[:], salt)
-	var ipad, opad [64]byte
-	for i := range k {
-		ipad[i] = k[i] ^ 0x36
-		opad[i] = k[i] ^ 0x5c
-	}
-	h := sha256.New()
-	h.Write(ipad[:])
+// hkdfExtract computes PRK = HMAC(salt, ikm). It runs once per endpoint,
+// over a pre-shared key of any length, so it takes crypto/hmac's
+// allocating path rather than the bounded stack one.
+func hkdfExtract(salt, ikm []byte) (prk [32]byte) {
+	h := hmac.New(sha256.New, salt)
 	h.Write(ikm)
-	inner := h.Sum(nil)
-	h = sha256.New()
-	h.Write(opad[:])
-	h.Write(inner)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	h.Sum(prk[:0])
+	return prk
 }
 
 // hkdfExpand fills out with HKDF-Expand(prk, info) output keying material.

@@ -1,20 +1,25 @@
 // Package secure implements the Secure UDT subsystem: an authenticated
 // handshake extension, a stateless source-address cookie against
 // spoofed-source handshake floods, and an opt-in AEAD data channel
-// (ChaCha20-Poly1305) with per-direction keys derived from the pre-shared
-// key and the handshake nonces via HKDF-SHA256.
+// (AES-256-GCM from crypto/cipher) with per-direction keys derived from the
+// pre-shared key and the handshake nonces via HKDF-SHA256.
 //
 // Everything on the per-packet hot path — sealing, opening, replay
 // checking, cookie validation and handshake-MAC verification — is
 // allocation-free after setup, so the transport's 0 allocs/packet gate
-// holds with crypto enabled. The primitives (ChaCha20, Poly1305, SipHash,
-// HKDF) are implemented here because the module deliberately has no
-// dependencies; test vectors from RFC 8439, RFC 5869 and the SipHash paper
-// pin them.
+// holds with crypto enabled. The cipher is the standard library's; what
+// stays in the package is what the standard library cannot do without
+// allocating on the path a handshake flood hammers (crypto/hmac costs five
+// allocations per MAC, so HMAC-SHA256 and HKDF-Expand run on the stack
+// over sha256.Sum256) or does not ship (SipHash-2-4 for the cookie). Test
+// vectors from RFC 4231, RFC 5869 and the SipHash paper pin them.
 //
-// Key schedule (all HKDF-SHA256):
+// Key schedule (all HKDF-SHA256; the "v2" label separates it from the "v1"
+// schedule that keyed the package's first cipher, so a v1 endpoint fails
+// the handshake MAC at dial time rather than being granted a channel it
+// cannot open):
 //
-//	PRK      = HKDF-Extract(salt="udt-secure-v1", IKM=PSK)
+//	PRK      = HKDF-Extract(salt="udt-secure-v2", IKM=PSK)
 //	hsKey    = HKDF-Expand(PRK, "hs auth", 32)
 //	c2s‖s2c  = HKDF-Expand(PRK, "data keys" ‖ CN ‖ SN, 64)
 //
@@ -26,6 +31,8 @@
 package secure
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"sync/atomic"
@@ -33,18 +40,18 @@ import (
 
 // Wire-format costs and field sizes.
 const (
-	// Overhead is the per-data-packet byte cost of AEAD mode: the
-	// Poly1305 tag appended after the sealed payload. The data header
+	// Overhead is the per-data-packet byte cost of AEAD mode: the GCM
+	// tag appended after the sealed payload. The data header
 	// (sequence number and timestamp) stays in the clear — the sequence
 	// number is bound through the nonce, and the timestamp is neither
 	// read by the receive engine nor authenticated (see the threat model
 	// in DESIGN.md).
 	Overhead = 16
-	// CtrlOverhead is the per-control-packet byte cost of AEAD mode: an
-	// 8-byte control sequence number (the anti-replay counter, also the
-	// nonce) plus the Poly1305 tag. The 12-byte control header stays in
-	// the clear for demultiplexing but is covered as associated data.
-	CtrlOverhead = 8 + 16
+	// CtrlOverhead is the per-control-packet byte cost of AEAD mode: the
+	// GCM tag plus an 8-byte control sequence number (the anti-replay
+	// counter, also the nonce). The 12-byte control header stays in the
+	// clear for demultiplexing but is covered as associated data.
+	CtrlOverhead = 16 + 8
 	// HSNonceLen is the length of the random nonce each side contributes
 	// in its handshake for session-key derivation.
 	HSNonceLen = 16
@@ -52,7 +59,7 @@ const (
 	MACLen = 32
 	// CookieLen is the length of the stateless source-address cookie.
 	CookieLen = 8
-	// KeyLen is the length of a ChaCha20-Poly1305 key.
+	// KeyLen is the length of an AES-256-GCM key.
 	KeyLen = 32
 )
 
@@ -78,7 +85,7 @@ type Keys struct {
 // DeriveKeys runs the key schedule's extract step over the pre-shared key.
 func DeriveKeys(psk []byte) *Keys {
 	k := &Keys{}
-	k.prk = hkdfExtract([]byte("udt-secure-v1"), psk)
+	k.prk = hkdfExtract([]byte("udt-secure-v2"), psk)
 	hkdfExpand(&k.prk, []byte("hs auth"), k.hs[:])
 	return k
 }
@@ -166,26 +173,62 @@ func seqCmp(a, b int32) int {
 	}
 }
 
-// Session is the per-connection sealing state: one directional key and
-// nonce tracker per direction, a send counter for the authenticated
-// control channel, and an anti-replay window over the peer's control
-// counter. Data-packet nonces are epoch ‖ seqno ‖ 0x00…, control nonces
-// ctrlseq ‖ 0x01…, so the two channels never collide under the shared
-// directional key. Retransmitted data packets re-seal to byte-identical
-// ciphertext (same nonce, same plaintext — the cleartext timestamp is
-// excluded from AEAD coverage precisely so a resend is not a second
-// message under a reused nonce).
+// direction is one half of a Session: the AEAD under that direction's key,
+// the epoch tracker of its data sequence numbers, and the nonce scratch.
+// The scratch lives here and not on the stack because a nonce passed
+// through the cipher.AEAD interface escapes — one heap allocation per
+// packet otherwise.
+type direction struct {
+	aead  cipher.AEAD
+	epoch epochTracker
+	nonce [12]byte
+}
+
+// newDirection builds the AES-256-GCM instance for one directional key.
+func newDirection(key *[KeyLen]byte, isn int32) direction {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic("secure: " + err.Error()) // KeyLen is a valid AES key size
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic("secure: " + err.Error()) // AES has GCM's 128-bit block
+	}
+	return direction{aead: aead, epoch: epochTracker{ref: isn}}
+}
+
+// dataNonce fills the scratch with the data-packet nonce epoch ‖ seq ‖ 0x00….
+func (d *direction) dataNonce(epoch uint32, seq int32) []byte {
+	binary.LittleEndian.PutUint32(d.nonce[0:4], epoch)
+	binary.LittleEndian.PutUint32(d.nonce[4:8], uint32(seq))
+	d.nonce[8] = 0
+	return d.nonce[:]
+}
+
+// ctrlNonce fills the scratch with the control-packet nonce ctrlseq ‖ 0x01….
+func (d *direction) ctrlNonce(seq uint64) []byte {
+	binary.LittleEndian.PutUint64(d.nonce[0:8], seq)
+	d.nonce[8] = 1
+	return d.nonce[:]
+}
+
+// Session is the per-connection sealing state: one AES-256-GCM instance,
+// nonce tracker and nonce scratch per direction, a send counter for the
+// authenticated control channel, and an anti-replay window over the peer's
+// control counter. Data-packet nonces are epoch ‖ seqno ‖ 0x00…, control
+// nonces ctrlseq ‖ 0x01…, so the two channels never collide under the
+// shared directional key. Retransmitted data packets re-seal to
+// byte-identical ciphertext (same nonce, same plaintext — the cleartext
+// timestamp is excluded from AEAD coverage precisely so a resend is not a
+// second message under a reused nonce).
 //
 // A Session is not internally locked: the sender-side methods (SealData,
 // SealCtrl) must be serialized by the caller, as must the receiver-side
 // methods (OpenData, OpenCtrl). The two sides may run concurrently with
-// each other.
+// each other — they share no state, each direction owning its own scratch.
 type Session struct {
-	sendKey [KeyLen]byte
-	recvKey [KeyLen]byte
-
-	sendEpoch epochTracker
-	recvEpoch epochTracker
+	send direction
+	recv direction
 
 	ctrlSend uint64
 	recvWin  Window
@@ -205,16 +248,15 @@ type Session struct {
 // reports whether the data channel is sealed (the control channel always
 // is once a Session exists).
 func NewSession(k *Keys, clientNonce, serverNonce []byte, client bool, localISN, peerISN int32, aead bool) *Session {
-	c2s, s2c := k.SessionKeys(clientNonce, serverNonce)
-	s := &Session{aead: aead}
-	if client {
-		s.sendKey, s.recvKey = c2s, s2c
-	} else {
-		s.sendKey, s.recvKey = s2c, c2s
+	sendKey, recvKey := k.SessionKeys(clientNonce, serverNonce)
+	if !client {
+		sendKey, recvKey = recvKey, sendKey
 	}
-	s.sendEpoch.ref = localISN
-	s.recvEpoch.ref = peerISN
-	return s
+	return &Session{
+		send: newDirection(&sendKey, localISN),
+		recv: newDirection(&recvKey, peerISN),
+		aead: aead,
+	}
 }
 
 // AEAD reports whether the data channel is sealed (as opposed to only the
@@ -228,92 +270,75 @@ func (s *Session) Drops() (authFail, replays uint64) {
 	return s.authFail.Load(), s.replayDrop.Load()
 }
 
-// dataNonce assembles the 12-byte data-packet nonce epoch ‖ seq ‖ 0x00.
-func dataNonce(n *[12]byte, epoch uint32, seq int32) {
-	binary.LittleEndian.PutUint32(n[0:4], epoch)
-	binary.LittleEndian.PutUint32(n[4:8], uint32(seq))
-	n[8], n[9], n[10], n[11] = 0, 0, 0, 0
-}
-
-// ctrlNonce assembles the 12-byte control-packet nonce ctrlseq ‖ 0x01.
-func ctrlNonce(n *[12]byte, seq uint64) {
-	binary.LittleEndian.PutUint64(n[0:8], seq)
-	n[8], n[9], n[10], n[11] = 1, 0, 0, 0
-}
-
 // SealData seals a full data packet (8-byte clear header + payload) in
-// place, appending the Poly1305 tag, and returns the grown slice. pkt must
-// have at least Overhead bytes of spare capacity. Allocation-free.
+// place, appending the GCM tag, and returns the grown slice. pkt must have
+// at least Overhead bytes of spare capacity. Allocation-free.
 func (s *Session) SealData(pkt []byte) []byte {
 	seq := int32(binary.BigEndian.Uint32(pkt[0:4]) & 0x7FFFFFFF)
-	e, newer := s.sendEpoch.epochOf(seq)
+	e, newer := s.send.epoch.epochOf(seq)
 	if newer {
-		s.sendEpoch.commit(seq, e)
+		s.send.epoch.commit(seq, e)
 	}
-	var nonce [12]byte
-	dataNonce(&nonce, e, seq)
 	n := len(pkt)
 	out := pkt[:n+Overhead]
-	seal(&s.sendKey, &nonce, out[8:n], nil, out[n:])
+	s.send.aead.Seal(out[:8], s.send.dataNonce(e, seq), out[8:n], nil)
 	return out
 }
 
 // OpenData authenticates and decrypts a sealed data packet in place and
 // returns the packet shrunk to its plaintext length. ok is false — and the
-// packet must be dropped — when the packet is too short or fails
-// authentication. Duplicate (retransmitted) data packets open fine and are
-// passed through: protocol-level deduplication is the engine's job, and
-// its dup-triggered re-ACK is load-bearing. Allocation-free.
+// packet must be dropped: GCM zeroes the payload it refuses — when the
+// packet is too short or fails authentication. Duplicate (retransmitted)
+// data packets open fine and are passed through: protocol-level
+// deduplication is the engine's job, and its dup-triggered re-ACK is
+// load-bearing. Allocation-free.
 func (s *Session) OpenData(pkt []byte) (out []byte, ok bool) {
 	if len(pkt) < 8+Overhead {
 		s.authFail.Add(1)
 		return nil, false
 	}
 	seq := int32(binary.BigEndian.Uint32(pkt[0:4]) & 0x7FFFFFFF)
-	e, newer := s.recvEpoch.epochOf(seq)
-	var nonce [12]byte
-	dataNonce(&nonce, e, seq)
-	n := len(pkt) - Overhead
-	if !open(&s.recvKey, &nonce, pkt[8:n], nil, pkt[n:]) {
+	e, newer := s.recv.epoch.epochOf(seq)
+	out, err := s.recv.aead.Open(pkt[:8], s.recv.dataNonce(e, seq), pkt[8:], nil)
+	if err != nil {
 		s.authFail.Add(1)
 		return nil, false
 	}
 	if newer {
-		s.recvEpoch.commit(seq, e)
+		s.recv.epoch.commit(seq, e)
 	}
-	return pkt[:n], true
+	return out, true
 }
 
 // SealCtrl seals a control packet in place: the 12-byte header stays clear
-// (it is covered as associated data), the body is encrypted, and an 8-byte
-// control sequence number plus the tag are appended. pkt must have at
+// (it is covered as associated data), the body is encrypted, and the tag
+// plus the 8-byte control sequence number are appended — tag first,
+// because GCM writes it directly after the ciphertext. pkt must have at
 // least CtrlOverhead bytes of spare capacity. Allocation-free.
 func (s *Session) SealCtrl(pkt []byte) []byte {
 	s.ctrlSend++
-	var nonce [12]byte
-	ctrlNonce(&nonce, s.ctrlSend)
 	n := len(pkt)
 	out := pkt[:n+CtrlOverhead]
-	binary.LittleEndian.PutUint64(out[n:n+8], s.ctrlSend)
-	seal(&s.sendKey, &nonce, out[12:n], out[:12], out[n+8:])
+	s.send.aead.Seal(out[:12], s.send.ctrlNonce(s.ctrlSend), out[12:n], out[:12])
+	binary.LittleEndian.PutUint64(out[n+Overhead:], s.ctrlSend)
 	return out
 }
 
 // OpenCtrl authenticates, decrypts and replay-checks a sealed control
 // packet in place, returning the packet shrunk to its plaintext length.
-// ok is false — drop the packet — when it is short, fails authentication,
-// or its control sequence number was already accepted (a replay, e.g. an
-// off-path attacker re-injecting a captured shutdown). Allocation-free.
+// ok is false — drop the packet: GCM zeroes a body it refuses — when it
+// is short, fails authentication, or its control sequence number was
+// already accepted (a replay, e.g. an off-path attacker re-injecting a
+// captured shutdown). Allocation-free.
 func (s *Session) OpenCtrl(pkt []byte) (out []byte, ok bool) {
 	if len(pkt) < 12+CtrlOverhead {
 		s.authFail.Add(1)
 		return nil, false
 	}
-	n := len(pkt) - CtrlOverhead
-	seq := binary.LittleEndian.Uint64(pkt[n : n+8])
-	var nonce [12]byte
-	ctrlNonce(&nonce, seq)
-	if !open(&s.recvKey, &nonce, pkt[12:n], pkt[:12], pkt[n+8:]) {
+	sealed := len(pkt) - 8
+	seq := binary.LittleEndian.Uint64(pkt[sealed:])
+	out, err := s.recv.aead.Open(pkt[:12], s.recv.ctrlNonce(seq), pkt[12:sealed], pkt[:12])
+	if err != nil {
 		s.authFail.Add(1)
 		return nil, false
 	}
@@ -321,5 +346,5 @@ func (s *Session) OpenCtrl(pkt []byte) (out []byte, ok bool) {
 		s.replayDrop.Add(1)
 		return nil, false
 	}
-	return pkt[:n], true
+	return out, true
 }

@@ -2,8 +2,11 @@ package secure
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"udt/internal/seqno"
@@ -17,6 +20,15 @@ func makeSessions(aead bool, clientISN, serverISN int32) (client, server *Sessio
 	client = NewSession(k, cn, sn, true, clientISN, serverISN, aead)
 	server = NewSession(k, cn, sn, false, serverISN, clientISN, aead)
 	return client, server
+}
+
+// ctrlPacket encodes a minimal control packet: an ACK-ish 12-byte header
+// and body, with room to seal.
+func ctrlPacket(body string) []byte {
+	b := make([]byte, 12+len(body), 12+len(body)+CtrlOverhead)
+	binary.BigEndian.PutUint32(b[0:], 1<<31|2<<16)
+	copy(b[12:], body)
+	return b
 }
 
 // dataPacket encodes a minimal data packet: seq, timestamp, payload.
@@ -136,13 +148,7 @@ func TestSpoofedHeaderDoesNotPoisonEpoch(t *testing.T) {
 
 func TestSealOpenCtrlRoundtripAndReplay(t *testing.T) {
 	c, s := makeSessions(false, 0, 0)
-	mk := func(body string) []byte {
-		b := make([]byte, 12+len(body), 12+len(body)+CtrlOverhead)
-		binary.BigEndian.PutUint32(b[0:], 1<<31|2<<16) // ACK-ish header
-		copy(b[12:], body)
-		return b
-	}
-	sealed := c.SealCtrl(mk("ack body"))
+	sealed := c.SealCtrl(ctrlPacket("ack body"))
 	replay := append([]byte(nil), sealed...)
 	plain, ok := s.OpenCtrl(sealed)
 	if !ok {
@@ -159,15 +165,96 @@ func TestSealOpenCtrlRoundtripAndReplay(t *testing.T) {
 		t.Fatalf("replayDrop = %d, want 1", rep)
 	}
 	// Header tampering breaks the AAD coverage.
-	sealed2 := c.SealCtrl(mk("nak body"))
+	sealed2 := c.SealCtrl(ctrlPacket("nak body"))
 	sealed2[2] ^= 0xff
 	if _, ok := s.OpenCtrl(sealed2); ok {
 		t.Fatal("accepted control packet with altered header")
 	}
 	// Empty-body control packets (keepalive, shutdown) work too.
-	sealed3 := c.SealCtrl(mk(""))
+	sealed3 := c.SealCtrl(ctrlPacket(""))
 	if _, ok := s.OpenCtrl(sealed3); !ok {
 		t.Fatal("empty-body control packet refused")
+	}
+}
+
+// One flipped bit anywhere the AEAD covers — and in the clear fields that
+// feed the nonce — must be refused and counted exactly once as an
+// authentication failure, never as a replay.
+func TestTamperRejected(t *testing.T) {
+	const payload = "tamper with me"
+	dataLen, ctrlLen := 8+len(payload), 12+len(payload)
+	cases := []struct {
+		name string
+		ctrl bool
+		at   int // byte whose low bit is flipped
+	}{
+		{"data clear seq", false, 3},
+		{"data payload", false, 8 + 2},
+		{"data tag", false, dataLen + Overhead - 1},
+		{"ctrl header as AAD", true, 2},
+		{"ctrl body", true, 12 + 1},
+		{"ctrl tag", true, ctrlLen + 3},
+		{"ctrl ctrlseq", true, ctrlLen + Overhead},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, s := makeSessions(true, 100, 5000)
+			var ok bool
+			if tc.ctrl {
+				pkt := c.SealCtrl(ctrlPacket(payload))
+				pkt[tc.at] ^= 1
+				_, ok = s.OpenCtrl(pkt)
+			} else {
+				pkt := c.SealData(dataPacket(100, 42, []byte(payload)))
+				pkt[tc.at] ^= 1
+				_, ok = s.OpenData(pkt)
+			}
+			if ok {
+				t.Fatal("tampered packet accepted")
+			}
+			if af, rep := s.Drops(); af != 1 || rep != 0 {
+				t.Fatalf("authFail, replays = %d, %d; want 1, 0", af, rep)
+			}
+		})
+	}
+}
+
+// The sender and receiver halves of one Session may run concurrently; under
+// -race this fails if the two directions ever share state, the nonce
+// scratch above all.
+func TestSealAndOpenConcurrently(t *testing.T) {
+	const n = 2000
+	c, s := makeSessions(true, 0, 0)
+	payload := bytes.Repeat([]byte{0xAB}, 100)
+	inbound := make([][]byte, n) // server → client, sealed up front
+	for i := range inbound {
+		inbound[i] = s.SealData(dataPacket(int32(i), 0, payload))
+	}
+	outbound := make([][]byte, 0, 2*n) // client → server, sealed while the client opens
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			outbound = append(outbound, c.SealData(dataPacket(int32(i), 0, payload)), c.SealCtrl(ctrlPacket("ack")))
+		}
+	}()
+	for i, pkt := range inbound {
+		if _, ok := c.OpenData(pkt); !ok {
+			t.Fatalf("client refused inbound packet %d while sealing", i)
+		}
+	}
+	wg.Wait()
+	for i, pkt := range outbound {
+		ok := false
+		if i%2 == 0 {
+			_, ok = s.OpenData(pkt)
+		} else {
+			_, ok = s.OpenCtrl(pkt)
+		}
+		if !ok {
+			t.Fatalf("server refused outbound packet %d sealed while the client was opening", i)
+		}
 	}
 }
 
@@ -268,6 +355,60 @@ func TestHandshakeMACBindsPeerNonce(t *testing.T) {
 	}
 }
 
+// v1HandshakeMAC is HandshakeMAC("handshake body bytes", 16×0x09) under
+// PSK "0123456789abcdef" as computed by the last commit of the "v1" key
+// schedule (ChaCha20-Poly1305 channel).
+const v1HandshakeMAC = "af33c49c6efb4cf9e7bd02d861cdd4a001187433e237e14daf34ee8fcb946bc3"
+
+// An endpoint built before the cipher change must be refused at the
+// handshake, not granted a channel whose packets it cannot open.
+func TestV1HandshakeMACRefused(t *testing.T) {
+	k := DeriveKeys([]byte("0123456789abcdef"))
+	body := []byte("handshake body bytes")
+	nonce := bytes.Repeat([]byte{9}, HSNonceLen)
+	if k.VerifyHandshakeMAC(body, nonce, unhex(t, v1HandshakeMAC)) {
+		t.Fatal("accepted a handshake MAC from the v1 key schedule")
+	}
+}
+
+// refHMAC is HMAC-SHA256 from the standard library, the reference the
+// in-package key schedule is compared against.
+func refHMAC(key []byte, parts ...[]byte) []byte {
+	h := hmac.New(sha256.New, key)
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return h.Sum(nil)
+}
+
+// The key schedule must match RFC 5869 over crypto/hmac for any PSK
+// length, including around hmacMaxMsg where the stack HMAC stops taking
+// messages, and across the two-block expand that yields the session keys.
+func TestKeyScheduleMatchesReference(t *testing.T) {
+	cn := bytes.Repeat([]byte{1}, HSNonceLen)
+	sn := bytes.Repeat([]byte{2}, HSNonceLen)
+	for _, n := range []int{16, hmacMaxMsg, hmacMaxMsg + 1, 1024} {
+		psk := make([]byte, n)
+		for i := range psk {
+			psk[i] = byte(i * 7)
+		}
+		prk := refHMAC([]byte("udt-secure-v2"), psk)
+		hs := refHMAC(prk, []byte("hs auth"), []byte{1})
+		info := append(append([]byte("data keys"), cn...), sn...)
+		t1 := refHMAC(prk, info, []byte{1})
+		t2 := refHMAC(prk, t1, info, []byte{2})
+
+		k := DeriveKeys(psk)
+		if !bytes.Equal(k.prk[:], prk) || !bytes.Equal(k.hs[:], hs) {
+			t.Errorf("PSK of %d bytes: DeriveKeys differs from the reference", n)
+		}
+		c2s, s2c := k.SessionKeys(cn, sn)
+		if !bytes.Equal(c2s[:], t1) || !bytes.Equal(s2c[:], t2) {
+			t.Errorf("PSK of %d bytes: SessionKeys differs from the reference", n)
+		}
+	}
+}
+
 // The package-local seqCmp must stay pinned to seqno.Cmp.
 func TestSeqCmpMatchesSeqno(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -298,8 +439,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Fatalf("data seal/open allocates %v/op", n)
 	}
 
-	ctrl := make([]byte, 12+16, 12+16+CtrlOverhead)
-	binary.BigEndian.PutUint32(ctrl[0:], 1<<31|2<<16)
+	ctrl := ctrlPacket("sixteen-byte-ack")
 	if n := testing.AllocsPerRun(200, func() {
 		sealed := c.SealCtrl(ctrl[:12+16])
 		if _, ok := s.OpenCtrl(sealed); !ok {

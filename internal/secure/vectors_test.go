@@ -15,101 +15,32 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
-// RFC 8439 §2.4.2: ChaCha20 encryption of the sunscreen plaintext.
-func TestChaCha20RFC8439(t *testing.T) {
-	var key [KeyLen]byte
-	for i := range key {
-		key[i] = byte(i)
-	}
-	nonce := [12]byte{0, 0, 0, 0, 0, 0, 0, 0x4a, 0, 0, 0, 0}
-	plain := []byte("Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.")
-	want := unhex(t, "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"+
-		"f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"+
-		"07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"+
-		"5af90bbf74a35be6b40b8eedf2785e42874d")
-	buf := append([]byte(nil), plain...)
-	chachaXOR(&key, &nonce, 1, buf)
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("ciphertext mismatch:\n got %x\nwant %x", buf, want)
-	}
-	chachaXOR(&key, &nonce, 1, buf)
-	if !bytes.Equal(buf, plain) {
-		t.Fatal("decrypt did not restore plaintext")
-	}
-}
+// Known-answer vectors for the wire format, computed independently with
+// crypto/hmac and crypto/cipher alone: PSK "known-answer pre-shared key",
+// nonces 16×0x01 and 16×0x02, client ISN 100. They pin the key schedule
+// label, both nonce layouts, the AAD choice and the trailer order —
+// hdr ‖ ct ‖ tag for data, hdr ‖ ct ‖ tag ‖ ctrlseq for control.
+func TestWireFormatKnownAnswers(t *testing.T) {
+	k := DeriveKeys([]byte("known-answer pre-shared key"))
+	cn := bytes.Repeat([]byte{1}, HSNonceLen)
+	sn := bytes.Repeat([]byte{2}, HSNonceLen)
+	c := NewSession(k, cn, sn, true, 100, 5000, true)
 
-// RFC 8439 §2.5.2: Poly1305 tag over the CFRG message.
-func TestPoly1305RFC8439(t *testing.T) {
-	var key [32]byte
-	copy(key[:], unhex(t, "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b"))
-	msg := []byte("Cryptographic Forum Research Group")
-	want := unhex(t, "a8061dc1305136c6c22b8baf0c0127a9")
-	var p poly1305
-	p.init(&key)
-	p.update(msg)
-	var tag [16]byte
-	p.finish(&tag)
-	if !bytes.Equal(tag[:], want) {
-		t.Fatalf("tag mismatch: got %x want %x", tag, want)
+	data := c.SealData(dataPacket(100, 42, []byte("the quick brown fox")))
+	wantData := unhex(t, "000000640000002a"+ // seq 100, timestamp 42, in the clear
+		"7d1c8fc51908ae441196e3bc4ac1b4c10abdc8"+ // ciphertext
+		"9a45ff3b3ddd2e86f78bdbc478cda40d") // tag
+	if !bytes.Equal(data, wantData) {
+		t.Errorf("SealData:\n got %x\nwant %x", data, wantData)
 	}
-	// Split updates must produce the same tag (partial-block buffering).
-	p.init(&key)
-	p.update(msg[:7])
-	p.update(msg[7:20])
-	p.update(msg[20:])
-	p.finish(&tag)
-	if !bytes.Equal(tag[:], want) {
-		t.Fatalf("split-update tag mismatch: got %x want %x", tag, want)
-	}
-}
 
-// RFC 8439 §2.8.2: the full AEAD seal, ciphertext and tag.
-func TestAEADRFC8439(t *testing.T) {
-	var key [KeyLen]byte
-	for i := range key {
-		key[i] = byte(0x80 + i)
-	}
-	var nonce [12]byte
-	copy(nonce[:], unhex(t, "070000004041424344454647"))
-	aad := unhex(t, "50515253c0c1c2c3c4c5c6c7")
-	plain := []byte("Ladies and Gentlemen of the class of '99: If I could offer you only one tip for the future, sunscreen would be it.")
-	wantCT := unhex(t, "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"+
-		"3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"+
-		"92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"+
-		"3ff4def08e4b7a9de576d26586cec64b6116")
-	wantTag := unhex(t, "1ae10b594f09e26a7e902ecbd0600691")
-
-	buf := append([]byte(nil), plain...)
-	var tag [16]byte
-	seal(&key, &nonce, buf, aad, tag[:])
-	if !bytes.Equal(buf, wantCT) {
-		t.Fatalf("ciphertext mismatch:\n got %x\nwant %x", buf, wantCT)
-	}
-	if !bytes.Equal(tag[:], wantTag) {
-		t.Fatalf("tag mismatch: got %x want %x", tag, wantTag)
-	}
-	if !open(&key, &nonce, buf, aad, tag[:]) {
-		t.Fatal("open rejected its own seal")
-	}
-	if !bytes.Equal(buf, plain) {
-		t.Fatal("open did not restore plaintext")
-	}
-	// Any bit flip — ciphertext, AAD or tag — must be rejected, leaving
-	// the buffer untouched.
-	seal(&key, &nonce, buf, aad, tag[:])
-	buf[3] ^= 1
-	if open(&key, &nonce, buf, aad, tag[:]) {
-		t.Fatal("open accepted corrupted ciphertext")
-	}
-	buf[3] ^= 1
-	tag[0] ^= 1
-	if open(&key, &nonce, buf, aad, tag[:]) {
-		t.Fatal("open accepted corrupted tag")
-	}
-	tag[0] ^= 1
-	aad[0] ^= 1
-	if open(&key, &nonce, buf, aad, tag[:]) {
-		t.Fatal("open accepted corrupted AAD")
+	ctrl := c.SealCtrl(ctrlPacket("ack body"))
+	wantCtrl := unhex(t, "800200000000000000000000"+ // header, clear but authenticated
+		"81cdd8e60940ce3c"+ // ciphertext
+		"5b5296523956f2c02d22b3537b4171d0"+ // tag
+		"0100000000000000") // ctrlseq 1, little-endian
+	if !bytes.Equal(ctrl, wantCtrl) {
+		t.Errorf("SealCtrl:\n got %x\nwant %x", ctrl, wantCtrl)
 	}
 }
 

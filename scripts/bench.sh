@@ -31,8 +31,8 @@
 #                                             syscalls per packet
 #   aead_mbps                                 the offloaded transfer again with
 #                                             Secure UDT fully on — PSK
-#                                             handshake + sealed
-#                                             ChaCha20-Poly1305 data channel
+#                                             handshake + sealed AES-256-GCM
+#                                             data channel
 #                                             (BenchmarkLoopbackAEAD); the gap
 #                                             to loopback_gso_mbps is the
 #                                             crypto tax

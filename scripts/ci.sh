@@ -21,12 +21,16 @@ GOOS=windows go build ./...
 # including the root package (Conn/Mux/pool scheduler APIs) and the shared
 # timer wheel — must carry a doc comment, and every relative Markdown link
 # must resolve (mdcheck covers DESIGN.md, EXPERIMENTS.md and README.md).
-go run ./scripts/doccheck . fabric udtfs internal/campaign internal/congestion internal/core internal/metrics internal/mux internal/netem internal/netem/chaos internal/secure internal/timerwheel internal/timing internal/trace
+go run ./scripts/doccheck
 go run ./scripts/mdcheck
 # Fast fail on the concurrency-heavy packages first: the demultiplexer and
 # the chaos harness in short mode, before the full (slower) race run.
 go test -race -short ./internal/mux ./internal/netem/chaos
 go test -race ./...
+# The sealed channel again on the portable GCM (no AES/GHASH assembly): the
+# known-answer vectors, the tamper table and the 0 allocs/packet gate must
+# hold on the path a CPU without those instructions takes.
+go test -tags purego ./internal/secure
 # Fuzz smoke: the handshake codec — including the security option fields
 # an attacker controls pre-authentication — must never panic or over-read,
 # and must stay canonical (decode∘encode identity). A short run per pass;

@@ -30,7 +30,7 @@ func (c *Config) secFlags() uint32 {
 // handshake randomness source. The nonce travels in the clear — it is a
 // key-separation salt, not a secret — but it must be unique per
 // connection under one PSK, or two sessions would derive identical keys
-// and reuse the ChaCha20 keystream.
+// and repeat GCM nonces under them.
 func fillNonce(n *[16]byte, randInt31 func() int32) {
 	for i := 0; i < 16; i += 4 {
 		binary.LittleEndian.PutUint32(n[i:], uint32(randInt31()))

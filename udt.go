@@ -129,13 +129,13 @@ type Config struct {
 	// Off (the default, with PSK set), unauthenticated peers are refused:
 	// listeners drop their requests silently and dials fail.
 	AllowUnauth bool
-	// AEAD additionally seals the data channel (ChaCha20-Poly1305, keys
-	// derived per connection and direction from PSK plus the handshake
-	// nonces): payloads are encrypted in place on the send path's burst
-	// arena and authenticated by a 16-byte tag carved out of each
-	// packet's payload budget, so wire datagrams stay exactly MSS and the
-	// 0 allocs/packet invariant holds with crypto on. Effective only with
-	// PSK set; the channel is sealed when both ends request it.
+	// AEAD additionally seals the data channel (AES-256-GCM, keys derived
+	// per connection and direction from PSK plus the handshake nonces):
+	// payloads are encrypted in place on the send path's burst arena and
+	// authenticated by a 16-byte tag carved out of each packet's payload
+	// budget, so wire datagrams stay exactly MSS and the 0 allocs/packet
+	// invariant holds with crypto on. Effective only with PSK set; the
+	// channel is sealed when both ends request it.
 	AEAD bool
 
 	// sockID is this endpoint's socket ID on its Mux's socket, filled in
