@@ -2,15 +2,14 @@ package udt
 
 import (
 	"net"
-	"sync"
 	"testing"
 
 	"udt/internal/core"
 	"udt/internal/packet"
 	"udt/internal/secure"
 	"udt/internal/seqno"
+	"udt/internal/timerwheel"
 	"udt/internal/timing"
-	"udt/internal/trace"
 )
 
 // discardSock swallows datagrams; it stands in for the UDP socket so the
@@ -45,43 +44,19 @@ func (g *gsoDiscardSock) writeSegments(bufs [][]byte, segSize int, _ net.Addr) (
 
 func (g *gsoDiscardSock) offloadActive() bool { return true }
 
-// newSendPathConn assembles a Conn exactly as newConn does, minus the
-// scheduler shard (c.shard stays nil; kickSender tolerates that), so tests
-// can drive claimBurstLocked/drainOutboxLocked deterministically from one
-// goroutine. With traced set, a perfmon ring is
-// attached just as newConn attaches one, so the alloc gates cover telemetry.
-// cc selects the congestion controller (nil = native), so the gates cover
-// every registered law's interface dispatch.
+// newSendPathConn is newConn on a shard whose worker never runs, so tests
+// can drive ClaimBurst/DrainOutbox deterministically from one goroutine.
+// With traced set the default perfmon ring stays attached, so the alloc
+// gates cover telemetry. cc selects the congestion controller (nil =
+// native), so the gates cover every registered law's interface dispatch.
 func newSendPathConn(sock sockWriter, traced bool, cc CongestionFactory, sec *secure.Session) *Conn {
 	cfg := Config{CC: cc}
+	if !traced {
+		cfg.PerfHistory = -1
+	}
 	cfg.fill()
-	c := &Conn{
-		cfg:   cfg,
-		sock:  sock,
-		clock: timing.NewSysClock(),
-		sec:   sec,
-	}
-	c.aead = sec != nil && sec.AEAD()
-	c.hr = sock.headroom()
-	c.bw, _ = sock.(batchWriter)
-	c.sw, _ = sock.(segWriter)
-	c.burst = burstSize(cfg.BatchSize, c.hr+cfg.MSS)
-	c.core = core.NewConn(cfg.coreConfig(0), 0)
-	payload := cfg.MSS - packet.DataHeaderSize
-	if c.aead {
-		payload -= secure.Overhead
-	}
-	c.snd = core.NewSndBuffer(cfg.SndBuf, payload, 0)
-	c.rcv = core.NewRcvBuffer(cfg.RcvBuf, payload, 0)
-	c.core.AvailBuf = c.rcv.Free
-	if traced {
-		c.perfRing = trace.NewRing(cfg.PerfHistory)
-		c.core.SetPerfSink(c.perfRing, cfg.PerfEverySYN, 0, "udt", trace.RoleFlow)
-	}
-	c.rdReady = sync.NewCond(&c.mu)
-	c.wrReady = sync.NewCond(&c.mu)
-	c.core.Start(c.clock.Now())
-	return c
+	shard := &poolShard{clock: timing.NewSysClock(), wheel: timerwheel.New(), kick: make(chan struct{}, 1)}
+	return newConn(cfg, sock, nil, nil, nil, 0, 0, shard, sec)
 }
 
 // sendCycle is one synchronous turn of the sender: buffer one packet of
@@ -89,30 +64,29 @@ func newSendPathConn(sock sockWriter, traced bool, cc CongestionFactory, sec *se
 // engine an ACK for everything in flight (the role the peer plays) and
 // drain the resulting control traffic. It exercises every per-packet
 // operation of the real send path.
-func sendCycle(c *Conn, data []byte, batch *sendBatch, scratch []byte, lens []int, burst *[][]byte) {
+func sendCycle(c *Conn, data []byte, batch *core.SendBatch, scratch []byte, lens []int, burst *[][]byte) {
 	c.mu.Lock()
 	now := c.clock.Now()
-	c.core.Advance(now)
-	c.snd.Write(data)
-	n, _, _ := c.claimBurstLocked(now, scratch, lens)
+	c.ep.Eng.Advance(now)
+	c.ep.Snd.Write(data)
+	n, _, _ := c.ep.ClaimBurst(now, c.sendCost, scratch, lens)
 	c.mu.Unlock()
 	if n > 0 {
 		c.sendDataBurst(scratch, lens, n, burst) //nolint:errcheck
 	}
 	c.mu.Lock()
 	ack := packet.ACK{
-		Seq:      seqno.Inc(c.core.CurSeq()),
+		Seq:      seqno.Inc(c.ep.Eng.CurSeq()),
 		RTT:      100,
 		RTTVar:   10,
 		AvailBuf: int32(c.cfg.RcvBuf),
 	}
-	if newly := c.core.HandleACK(now, ack); newly > 0 {
-		c.snd.Release(c.core.SndLastAck())
+	if newly := c.ep.Eng.HandleACK(now, ack); newly > 0 {
+		c.ep.Snd.Release(c.ep.Eng.SndLastAck())
 	}
-	batch.reset()
-	c.drainOutboxLocked(batch)
+	c.ep.DrainOutbox(batch, int32(now))
 	c.mu.Unlock()
-	for _, b := range batch.msgs {
+	for _, b := range batch.Msgs {
 		c.sockWrite(b) //nolint:errcheck
 	}
 }
@@ -144,7 +118,7 @@ func TestSenderPathAllocs(t *testing.T) {
 				}
 				sock := &discardSock{}
 				c := newSendPathConn(sock, true, cc, sess)
-				var batch sendBatch
+				var batch core.SendBatch
 				scratch := make([]byte, c.burst*(c.hr+c.cfg.MSS))
 				lens := make([]int, c.burst)
 				burst := make([][]byte, 0, c.burst)
@@ -159,11 +133,11 @@ func TestSenderPathAllocs(t *testing.T) {
 				for i := 0; i < 64; i++ {
 					sendCycle(c, data, &batch, scratch, lens, &burst)
 				}
-				sentBefore := c.core.Stats.PktsSent
+				sentBefore := c.ep.Eng.Stats.PktsSent
 				avg := testing.AllocsPerRun(500, func() {
 					sendCycle(c, data, &batch, scratch, lens, &burst)
 				})
-				sent := c.core.Stats.PktsSent - sentBefore
+				sent := c.ep.Eng.Stats.PktsSent - sentBefore
 				if sent < 500 {
 					t.Fatalf("send path stalled during measurement: only %d packets sent", sent)
 				}
@@ -174,7 +148,7 @@ func TestSenderPathAllocs(t *testing.T) {
 				// cross a SYN boundary explicitly to prove the sampler really
 				// was attached and live.
 				c.mu.Lock()
-				c.core.Advance(c.clock.Now() + 2*c.cfg.SYN.Microseconds())
+				c.ep.Eng.Advance(c.clock.Now() + 2*c.cfg.SYN.Microseconds())
 				c.mu.Unlock()
 				if c.perfRing.Total() == 0 {
 					t.Fatal("perf ring recorded nothing; the traced gate proved nothing")
@@ -202,7 +176,7 @@ func testSessionPair(aead bool) (local, peer *secure.Session) {
 
 // TestSecureRecvPathAllocs gates the receive side of the sealed channel:
 // opening a sealed data packet and running it through the full
-// handleDatagramAt path — AEAD open, engine bookkeeping, control drain —
+// handleDatagram path — AEAD open, engine bookkeeping, control drain —
 // must allocate nothing. The packet is a duplicate every iteration, which
 // exercises the dup-triggered re-ACK emission too; retransmissions seal
 // byte-identically, so one sealed image is recopied per run (opening
@@ -225,7 +199,7 @@ func TestSecureRecvPathAllocs(t *testing.T) {
 	buf := make([]byte, len(sealed))
 	deliver := func() {
 		copy(buf, sealed)
-		c.handleDatagram(buf)
+		c.handleDatagram(buf, c.clock.Now())
 	}
 	for i := 0; i < 16; i++ {
 		deliver() // warm the receive-side control batch arena
@@ -237,7 +211,7 @@ func TestSecureRecvPathAllocs(t *testing.T) {
 	if af != 0 {
 		t.Fatalf("authentic packets failed to open %d times", af)
 	}
-	if got := c.core.Stats.PktsRecv; got < 500 {
+	if got := c.ep.Eng.Stats.PktsRecv; got < 500 {
 		t.Fatalf("engine saw only %d packets; the open path short-circuited", got)
 	}
 }
@@ -295,7 +269,7 @@ func BenchmarkSenderPacketTraced(b *testing.B) {
 func benchmarkSenderPacket(b *testing.B, traced bool) {
 	sock := &discardSock{}
 	c := newSendPathConn(sock, traced, nil, nil)
-	var batch sendBatch
+	var batch core.SendBatch
 	scratch := make([]byte, c.burst*(c.hr+c.cfg.MSS))
 	lens := make([]int, c.burst)
 	burst := make([][]byte, 0, c.burst)
@@ -322,16 +296,16 @@ func TestDrainOutboxSizing(t *testing.T) {
 	// stress the NAK sizing; receiving data provokes ACK generation at the
 	// next SYN boundary.
 	c.mu.Lock()
-	c.core.HandleData(now, 0)
-	c.core.HandleData(now, 50) // gap -> NAK with a compressed range
-	c.core.Advance(now + 11_000)
-	var batch sendBatch
-	c.drainOutboxLocked(&batch)
+	c.ep.Eng.HandleData(now, 0)
+	c.ep.Eng.HandleData(now, 50) // gap -> NAK with a compressed range
+	c.ep.Eng.Advance(now + 11_000)
+	var batch core.SendBatch
+	c.ep.DrainOutbox(&batch, int32(now))
 	c.mu.Unlock()
-	if len(batch.msgs) == 0 {
+	if len(batch.Msgs) == 0 {
 		t.Fatal("no control emissions drained")
 	}
-	for _, m := range batch.msgs {
+	for _, m := range batch.Msgs {
 		if !packet.IsControl(m) {
 			t.Fatalf("drained message is not a control packet: % x", m)
 		}

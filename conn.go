@@ -10,9 +10,7 @@ import (
 	"time"
 
 	"udt/internal/core"
-	"udt/internal/packet"
 	"udt/internal/secure"
-	"udt/internal/seqno"
 	"udt/internal/timing"
 	"udt/internal/trace"
 )
@@ -78,21 +76,17 @@ type Conn struct {
 	clock  *timing.SysClock
 	ledger *timing.Ledger
 
-	// sec is the connection's Secure UDT sealing state, nil on a clear
-	// connection. Its send-side methods run under mu (drainOutboxLocked,
-	// claimBurstLocked); its receive-side methods run on the single
-	// datagram-delivery goroutine. aead caches sec.AEAD() for the per-
-	// packet checks.
-	sec  *secure.Session
-	aead bool
-
-	mu       sync.Mutex
-	core     *core.Conn
+	mu sync.Mutex
+	// ep is the flow endpoint — engine, buffers, sealing state and the
+	// datagram paths in and out of them — shared with the virtual-clock
+	// harness (chaos.Peer). Everything in it is guarded by mu except
+	// ep.Decode, which touches only the receive side of ep.Sec and runs on
+	// the single datagram-delivery goroutine; the send side of ep.Sec runs
+	// under mu (DrainOutbox, ClaimBurst).
+	ep       core.Endpoint
 	perfRing *trace.Ring // telemetry history behind Perf; nil when disabled
-	snd      *core.SndBuffer
-	rcv      *core.RcvBuffer
-	rdReady  *sync.Cond // receive buffer has data / state change
-	wrReady  *sync.Cond // send buffer has room / state change
+	rdReady  *sync.Cond  // receive buffer has data / state change
+	wrReady  *sync.Cond  // send buffer has room / state change
 	closed   chan struct{}
 	err      error
 	overlap  bool    // a reader's buffer is attached to the receive buffer
@@ -102,7 +96,7 @@ type Conn struct {
 	// only ever invoked from one goroutine (the dialed socket's reader or
 	// the listener's demultiplexer), so one reusable batch suffices; the
 	// sender path (runTask) and Close keep their own.
-	rcvBatch sendBatch
+	rcvBatch core.SendBatch
 
 	// Sender-service working set, touched only by runTask (the shard
 	// worker serializes services, so no lock is needed beyond mu inside
@@ -110,13 +104,12 @@ type Conn struct {
 	// arena, allocated lazily on the first service that has data to send —
 	// a receive-only or idle flow never pays for them (at 100k flows the
 	// difference is gigabytes).
-	sndBatch  sendBatch
+	sndBatch  core.SendBatch
 	scratch   []byte
 	lens      []int
 	burstBufs [][]byte
 
 	bytesSent int64
-	bytesRecv int64
 
 	// Send-path offload counters. They are atomics, not mu-guarded: the
 	// sender loop updates them outside the lock and Stats snapshots them
@@ -150,24 +143,20 @@ func newConn(cfg Config, sock sockWriter, closer func(), laddr, raddr net.Addr, 
 		clock:  shard.clock,
 		ledger: cfg.Ledger,
 		closed: make(chan struct{}),
-		sec:    sec,
 	}
-	c.aead = sec != nil && sec.AEAD()
 	c.hr = sock.headroom()
 	c.bw, _ = sock.(batchWriter)
 	c.sw, _ = sock.(segWriter)
 	c.burst = burstSize(cfg.BatchSize, c.hr+cfg.MSS)
-	c.core = core.NewConn(cfg.coreConfig(isn), peerISN)
-	payload := cfg.MSS - packet.DataHeaderSize
-	if c.aead {
-		// The AEAD tag rides inside the packet's payload budget, so a
-		// sealed full packet is still exactly MSS on the wire (GSO trains
-		// stay uniform).
-		payload -= secure.Overhead
-	}
-	c.snd = core.NewSndBuffer(cfg.SndBuf, payload, isn)
-	c.rcv = core.NewRcvBuffer(cfg.RcvBuf, payload, peerISN)
-	c.core.AvailBuf = c.rcv.Free
+	c.ep = core.NewEndpoint(core.EndpointConfig{
+		Engine:     cfg.coreConfig(isn),
+		PeerISN:    peerISN,
+		SndBufPkts: cfg.SndBuf,
+		RcvBufPkts: cfg.RcvBuf,
+		Headroom:   c.hr,
+		Sec:        sec,
+		Ledger:     cfg.Ledger,
+	})
 	var ringSink trace.Sink
 	if cfg.PerfHistory > 0 {
 		c.perfRing = trace.NewRing(cfg.PerfHistory)
@@ -175,14 +164,14 @@ func newConn(cfg Config, sock sockWriter, closer func(), laddr, raddr net.Addr, 
 	}
 	if sink := trace.Multi(ringSink, cfg.Trace); sink != nil {
 		label := "udt"
-		if name := c.core.Controller().Name(); name != "native" {
+		if name := c.ep.Eng.Controller().Name(); name != "native" {
 			label = "udt-" + name
 		}
-		c.core.SetPerfSink(sink, cfg.PerfEverySYN, cfg.sockID, label, trace.RoleFlow)
+		c.ep.Eng.SetPerfSink(sink, cfg.PerfEverySYN, cfg.sockID, label, trace.RoleFlow)
 	}
 	c.rdReady = sync.NewCond(&c.mu)
 	c.wrReady = sync.NewCond(&c.mu)
-	c.core.Start(c.clock.Now())
+	c.ep.Eng.Start(c.clock.Now())
 	shard.attach(c)
 	shard.wake(c) // first service arms the protocol timers on the wheel
 	return c
@@ -197,13 +186,8 @@ func (c *Conn) RemoteAddr() net.Addr { return c.raddr }
 // kickSender asks the shard to service this connection: new data to send,
 // freed receive buffer, arrived control packet — anything that may change
 // what the state machine wants to do next. Safe under c.mu (the shard
-// lock nests inside connection locks). Nil-safe for test harnesses that
-// drive the send path synchronously without a scheduler.
-func (c *Conn) kickSender() {
-	if c.shard != nil {
-		c.shard.wake(c)
-	}
-}
+// lock nests inside connection locks).
+func (c *Conn) kickSender() { c.shard.wake(c) }
 
 // fail records a fatal error and wakes everyone. Callers hold mu.
 func (c *Conn) failLocked(err error) {
@@ -223,13 +207,13 @@ func (c *Conn) failLocked(err error) {
 // Close shuts the connection down, notifying the peer.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	alreadyClosed := c.core.Closed()
-	c.core.Close()
-	var batch sendBatch
-	c.drainOutboxLocked(&batch)
+	alreadyClosed := c.ep.Eng.Closed()
+	c.ep.Eng.Close()
+	var batch core.SendBatch
+	c.ep.DrainOutbox(&batch, int32(c.clock.Now()))
 	c.failLocked(ErrClosed)
 	c.mu.Unlock()
-	for _, b := range batch.msgs {
+	for _, b := range batch.Msgs {
 		c.sock.writeTo(b, c.raddr) //nolint:errcheck // best-effort shutdown notice
 	}
 	if !alreadyClosed && c.closer != nil {
@@ -237,9 +221,7 @@ func (c *Conn) Close() error {
 	}
 	// Leave the scheduler: after detach the shard guarantees no service
 	// run is in flight or will ever start.
-	if c.shard != nil {
-		c.shard.detach(c)
-	}
+	c.shard.detach(c)
 	// With sender service finished, nothing can reference a mapped file
 	// region anymore; release mappings whose teardown SendFileZC deferred.
 	c.mu.Lock()
@@ -267,10 +249,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for written < len(p) {
-		if c.err != nil && c.core.Closed() {
+		if c.err != nil && c.ep.Eng.Closed() {
 			return written, c.err
 		}
-		n := c.snd.Write(p[written:])
+		n := c.ep.Snd.Write(p[written:])
 		if n > 0 {
 			written += n
 			c.kickSender()
@@ -291,10 +273,10 @@ func (c *Conn) writeZC(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for written < len(p) {
-		if c.err != nil && c.core.Closed() {
+		if c.err != nil && c.ep.Eng.Closed() {
 			return written, c.err
 		}
-		n := c.snd.WriteZC(p[written:])
+		n := c.ep.Snd.WriteZC(p[written:])
 		if n > 0 {
 			written += n
 			c.kickSender()
@@ -312,7 +294,7 @@ func (c *Conn) writeZC(p []byte) (int, error) {
 func (c *Conn) waitAcked() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.err == nil && c.snd.Pending() > 0 {
+	for c.err == nil && c.ep.Snd.Pending() > 0 {
 		c.wrReady.Wait()
 	}
 	return c.err
@@ -338,8 +320,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if n := c.rcv.Available(); n > 0 {
-			got := c.rcv.Read(p)
+		if n := c.ep.Rcv.Available(); n > 0 {
+			got := c.ep.Rcv.Read(p)
 			// Freed buffer space reopens the advertised window; service the
 			// engine so the reopening ACK goes out now rather than at the
 			// next scheduled wake — a parked idle flow sleeps all the way to
@@ -347,24 +329,24 @@ func (c *Conn) Read(p []byte) (int, error) {
 			c.kickSender()
 			return got, nil
 		}
-		if c.err != nil || c.core.Closed() {
+		if c.err != nil || c.ep.Eng.Closed() {
 			err := c.err
 			if err == nil || err == ErrClosed {
 				err = io.EOF
 			}
 			return 0, err
 		}
-		attached := !c.overlap && c.rcv.AttachUser(p)
+		attached := !c.overlap && c.ep.Rcv.AttachUser(p)
 		if attached {
 			c.overlap = true
 		}
 		c.rdReady.Wait()
 		if attached {
 			c.overlap = false
-			direct := c.rcv.DetachUser()
+			direct := c.ep.Rcv.DetachUser()
 			if direct > 0 {
 				n := direct
-				if rest := c.rcv.Read(p[direct:]); rest > 0 {
+				if rest := c.ep.Rcv.Read(p[direct:]); rest > 0 {
 					n += rest
 				}
 				c.kickSender() // window may have reopened; see above
@@ -386,17 +368,17 @@ type sockCounters interface {
 // Stats returns a snapshot of the connection's protocol counters.
 func (c *Conn) Stats() Stats {
 	c.mu.Lock()
-	ctrl := c.core.Controller()
+	ctrl := c.ep.Eng.Controller()
 	var rate float64
 	if p := ctrl.Period(); p > 0 {
 		rate = float64(c.cfg.MSS) * 8 / p // bits/µs ≡ Mb/s
 	}
 	s := Stats{
-		Stats:          c.core.Stats,
-		RTT:            time.Duration(c.core.RTT()) * time.Microsecond,
+		Stats:          c.ep.Eng.Stats,
+		RTT:            time.Duration(c.ep.Eng.RTT()) * time.Microsecond,
 		SendRateMbps:   rate,
 		BytesSent:      c.bytesSent,
-		BytesRecv:      c.bytesRecv,
+		BytesRecv:      c.ep.BytesRecv,
 		UDPRcvBufBytes: c.udpRcvBuf,
 		UDPSndBufBytes: c.udpSndBuf,
 		CCName:         ctrl.Name(),
@@ -404,8 +386,8 @@ func (c *Conn) Stats() Stats {
 		CCWindowPkts:   ctrl.Window(),
 	}
 	c.mu.Unlock()
-	if c.sec != nil {
-		s.AuthRejects, s.ReplayDrops = c.sec.Drops()
+	if c.ep.Sec != nil {
+		s.AuthRejects, s.ReplayDrops = c.ep.Sec.Drops()
 	}
 	if sc, ok := c.sock.(sockCounters); ok {
 		s = sc.sockStats(s)
@@ -444,87 +426,6 @@ func (c *Conn) LastPerf() (PerfRecord, bool) {
 	return c.perfRing.Last()
 }
 
-// sendBatch accumulates encoded control datagrams in a reusable arena.
-// Once the arena and message list have grown to their working-set size, a
-// drain-and-send pass allocates nothing.
-type sendBatch struct {
-	arena []byte
-	msgs  [][]byte // aliases into arena, one per datagram
-}
-
-func (b *sendBatch) reset() {
-	b.arena = b.arena[:0]
-	b.msgs = b.msgs[:0]
-}
-
-// grab reserves n bytes of arena. If the arena must grow, messages already
-// recorded keep aliasing the old block — they remain valid until reset.
-func (b *sendBatch) grab(n int) []byte {
-	off := len(b.arena)
-	if off+n > cap(b.arena) {
-		grown := make([]byte, off, 2*(off+n)+64)
-		copy(grown, b.arena)
-		b.arena = grown
-	}
-	b.arena = b.arena[:off+n]
-	return b.arena[off : off+n]
-}
-
-// drainOutboxLocked encodes all queued control emissions into b, each
-// sized exactly per emission kind (a bare control header for
-// ACK2/keep-alive/shutdown, header+24 for a full ACK, the compressed
-// loss-list length for a NAK) plus the transport's headroom, into which a
-// multiplexed flow later stamps the destination socket ID. Callers hold
-// mu; the batch is transmitted after unlock so the socket write never runs
-// under the connection lock.
-func (c *Conn) drainOutboxLocked(b *sendBatch) {
-	now32 := int32(c.clock.Now())
-	hr := c.hr
-	for {
-		o, ok := c.core.PopOut()
-		if !ok {
-			return
-		}
-		var size int
-		switch o.Kind {
-		case core.OutACK:
-			size = packet.CtrlHeaderSize + packet.FullACKBody
-		case core.OutNAK:
-			size = packet.NAKSize(o.Losses)
-		default: // ACK2, keep-alive, shutdown: bare control header
-			size = packet.CtrlHeaderSize
-		}
-		if c.sec != nil {
-			size += secure.CtrlOverhead
-		}
-		buf := b.grab(hr + size)
-		var n int
-		var err error
-		switch o.Kind {
-		case core.OutACK:
-			n, err = packet.EncodeACK(buf[hr:], &o.ACK, now32)
-		case core.OutNAK:
-			n, err = packet.EncodeNAK(buf[hr:], o.Losses, now32)
-		case core.OutACK2:
-			n, err = packet.EncodeACK2(buf[hr:], o.AckID, now32)
-		case core.OutKeepAlive:
-			n, err = packet.EncodeSimple(buf[hr:], packet.TypeKeepAlive, now32)
-		case core.OutShutdown:
-			n, err = packet.EncodeSimple(buf[hr:], packet.TypeShutdown, now32)
-		}
-		if err == nil && n > 0 {
-			end := hr + n
-			if c.sec != nil {
-				// Seal in place; the grab above reserved the trailer room.
-				// The full-capacity reslice is load-bearing: buf's spare
-				// capacity aliases the arena's free tail.
-				end = hr + len(c.sec.SealCtrl(buf[hr:end:len(buf)]))
-			}
-			b.msgs = append(b.msgs, buf[:end])
-		}
-	}
-}
-
 // burstSize bounds the data burst one sender-lock acquisition may claim:
 // the configured batch size (clamped in Config.fill), further capped so a
 // full train of stride-sized datagrams fits one 64 KB GSO super-datagram
@@ -543,68 +444,6 @@ func burstSize(batch, stride int) int {
 		batch = 1
 	}
 	return batch
-}
-
-// claimBurstLocked claims and encodes up to c.burst data packets into
-// scratch (packet i at offset i*(headroom+MSS), encoded after the
-// transport's headroom bytes, encoded length in lens[i]). The first
-// packet follows §4.1's one-packet-per-iteration rule; further packets are
-// claimed only while the pacing schedule is already due within the measured
-// cost of one UDP send — at that point the syscall, not the pacer, is the
-// bottleneck, and splitting the burst across lock round-trips would only
-// add overhead. It returns the claim count, the next wakeup deadline and
-// the last engine decision (meaningful when n == 0). Callers hold mu.
-func (c *Conn) claimBurstLocked(now int64, scratch []byte, lens []int) (n int, wake int64, d core.SendDecision) {
-	// NextWake, not NextTimer: a quiescent flow parks until its EXP
-	// keep-alive deadline instead of every ACK/NAK/SYN period — the ~30×
-	// wakeup reduction that lets one shard hold tens of thousands of idle
-	// flows. Any event that ends quiescence (app write, arriving packet)
-	// kicks the connection, which re-derives an earlier wake here.
-	wake = c.core.NextWake()
-	stride := c.hr + c.cfg.MSS
-	for n < c.burst {
-		newAvail := seqno.Cmp(c.snd.NextWriteSeq(), seqno.Inc(c.core.CurSeq())) > 0
-		seq, decision := c.core.NextSend(now, newAvail)
-		d = decision
-		if decision != core.SendData && decision != core.SendRetrans {
-			switch decision {
-			case core.WaitPacing:
-				if t := c.core.NextSendTime(); t < wake {
-					wake = t
-				}
-			case core.WaitFrozen:
-				if t := c.core.Controller().FreezeEnd(); t < wake {
-					wake = t
-				}
-			}
-			return n, wake, decision
-		}
-		pl, ok := c.snd.Packet(seq)
-		if !ok {
-			// The engine committed seq but the buffer cannot serve it;
-			// reconsider immediately.
-			return n, now, decision
-		}
-		buf := scratch[n*stride+c.hr : (n+1)*stride]
-		c.ledger.Time(timing.BucketPack, func() {
-			m, _ := packet.EncodeData(buf, &packet.Data{Seq: seq, Timestamp: int32(now), Payload: pl})
-			if c.aead {
-				// Seal in the burst arena: payload encrypted in place, tag
-				// appended. A full packet grows back to exactly MSS, so the
-				// GSO all-MSS train check downstream is unaffected; a
-				// retransmission re-seals byte-identically (the timestamp is
-				// outside AEAD coverage), so the reused nonce carries the
-				// same message.
-				m = len(c.sec.SealData(buf[:m]))
-			}
-			lens[n] = m
-		})
-		n++
-		if c.core.NextSendTime() > now+int64(c.sendCost) {
-			return n, now, decision
-		}
-	}
-	return n, now, d
 }
 
 // sched implements poolTask.
@@ -626,17 +465,16 @@ func (c *Conn) runTask() (int64, bool) {
 		return taskNever, false
 	}
 	now := c.clock.Now()
-	c.core.Advance(now)
-	c.sndBatch.reset()
-	c.drainOutboxLocked(&c.sndBatch)
-	if c.core.Broken() {
+	c.ep.Eng.Advance(now)
+	c.ep.DrainOutbox(&c.sndBatch, int32(now))
+	if c.ep.Eng.Broken() {
 		c.failLocked(ErrPeerDead)
 		c.mu.Unlock()
 		return taskNever, false
 	}
 	var nData int
 	wake, decision := int64(0), core.SendData
-	if c.scratch == nil && c.snd.Pending() > 0 {
+	if c.scratch == nil && c.ep.Snd.Pending() > 0 {
 		// First service with data queued: allocate the burst encode arena.
 		// Loss/retransmission state implies earlier data services, so a
 		// nil arena also proves there is nothing to retransmit — flows
@@ -648,11 +486,11 @@ func (c *Conn) runTask() (int64, bool) {
 		c.burstBufs = make([][]byte, 0, c.burst)
 	}
 	if c.scratch != nil {
-		nData, wake, decision = c.claimBurstLocked(now, c.scratch, c.lens)
+		nData, wake, decision = c.ep.ClaimBurst(now, c.sendCost, c.scratch, c.lens)
 	} else {
-		wake = c.core.NextWake()
+		wake = c.ep.Eng.NextWake()
 	}
-	closedNow := c.core.Closed() && c.snd.Pending() == 0
+	closedNow := c.ep.Eng.Closed() && c.ep.Snd.Pending() == 0
 	c.mu.Unlock()
 
 	if err := c.sendCtrlBatch(&c.sndBatch); err != nil {
@@ -680,7 +518,7 @@ func (c *Conn) runTask() (int64, bool) {
 		} else {
 			c.sendCost += (cost - c.sendCost) / 8
 		}
-		c.core.Controller().SetMinPeriod(c.sendCost)
+		c.ep.Eng.Controller().SetMinPeriod(c.sendCost)
 		c.mu.Unlock()
 		return 0, false // more work may be ready; re-queue immediately
 	}
@@ -766,14 +604,14 @@ func (c *Conn) sockWrite(b []byte) (int, error) {
 
 // sendCtrlBatch transmits a drained control batch — one sendmmsg when the
 // transport supports batching and there is more than one datagram.
-func (c *Conn) sendCtrlBatch(b *sendBatch) error {
-	if c.bw != nil && len(b.msgs) > 1 {
+func (c *Conn) sendCtrlBatch(b *core.SendBatch) error {
+	if c.bw != nil && len(b.Msgs) > 1 {
 		var err error
-		c.ledger.Time(timing.BucketUDPWrite, func() { err = c.bw.writeBatch(b.msgs, c.raddr) })
+		c.ledger.Time(timing.BucketUDPWrite, func() { err = c.bw.writeBatch(b.Msgs, c.raddr) })
 		c.sendSyscalls.Add(1)
 		return err
 	}
-	for _, m := range b.msgs {
+	for _, m := range b.Msgs {
 		if _, err := c.sockWrite(m); err != nil {
 			return err
 		}
@@ -781,117 +619,44 @@ func (c *Conn) sendCtrlBatch(b *sendBatch) error {
 	return nil
 }
 
-// handleDatagram processes one UDP datagram addressed to this connection,
-// stamping its arrival at the moment of processing. The mux read loop
-// calls handleDatagramAt instead with the batch read time: stamping each
-// packet of a recvmmsg batch (or GRO train) individually would record the
-// engine's per-packet processing time — a few µs of CPU — as inter-arrival
-// spacing, inflating the §3.2 arrival-speed and §3.4 capacity estimators
-// by orders of magnitude on fast links.
-func (c *Conn) handleDatagram(raw []byte) {
-	c.handleDatagramAt(raw, c.clock.Now())
-}
-
-// handleDatagramAt processes one UDP datagram that arrived at time now on
-// the connection's clock. On a secure connection raw is opened in place,
-// and a datagram that fails to open is dead: GCM zeroes what it refuses.
-func (c *Conn) handleDatagramAt(raw []byte, now int64) {
-	if c.sec != nil {
-		// Open before the engine sees anything. Data packets are sealed
-		// only in AEAD mode; control packets are always sealed and
-		// replay-checked on a secure connection — except handshakes, which
-		// predate the session (a duplicate response is ignored below
-		// anyway). Failures drop the datagram and count in Stats.
-		if packet.IsControl(raw) {
-			if !packet.IsHandshake(raw) {
-				opened, ok := c.sec.OpenCtrl(raw)
-				if !ok {
-					return
-				}
-				raw = opened
-			}
-		} else if c.aead {
-			opened, ok := c.sec.OpenData(raw)
-			if !ok {
-				return
-			}
-			raw = opened
-		}
-	}
-	if !packet.IsControl(raw) {
-		var d packet.Data
-		var err error
-		c.ledger.Time(timing.BucketUnpack, func() { d, err = packet.DecodeData(raw) })
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		// A full receive buffer means flow control was overrun (or the
-		// reader is stuck): treat the packet as lost on the wire; the
-		// protocol will retransmit it once space reopens (§3.2).
-		if c.rcv.Free() == 0 {
-			c.mu.Unlock()
-			return
-		}
-		var fresh bool
-		c.ledger.Time(timing.BucketMeasure, func() { fresh = c.core.HandleData(now, d.Seq) })
-		if fresh {
-			c.rcv.Store(d.Seq, d.Payload)
-			c.bytesRecv += int64(len(raw))
-			if c.rcv.Available() > 0 {
-				c.rdReady.Broadcast()
-			}
-		}
-		c.rcvBatch.reset()
-		c.drainOutboxLocked(&c.rcvBatch)
-		c.mu.Unlock()
-		c.sendCtrlBatch(&c.rcvBatch) //nolint:errcheck // control losses are repaired by timers
-		// Arriving data ends quiescence: a flow parked until its EXP
-		// deadline must be rescheduled onto the ACK/NAK cadence, and only
-		// a service run re-derives its wake deadline. For a flow already
-		// awake this is a cheap state check on the shard.
-		c.kickSender()
-		return
-	}
-
-	ctrl, err := packet.DecodeControl(raw)
-	if err != nil {
+// handleDatagram processes one UDP datagram that arrived at time now on the
+// connection's clock — for a recvmmsg batch or GRO train, the batch read
+// time: stamping each packet as it is processed would record the engine's
+// per-packet CPU time as inter-arrival spacing and inflate the §3.2
+// arrival-speed and §3.4 capacity estimators by orders of magnitude on fast
+// links. On a secure connection raw is opened in place — outside mu, like
+// every other AEAD operation on the receive side.
+func (c *Conn) handleDatagram(raw []byte, now int64) {
+	in, ok := c.ep.Decode(raw)
+	if !ok {
 		return
 	}
 	c.mu.Lock()
-	c.ledger.Time(timing.BucketProcessCtrl, func() {
-		switch ctrl.Type {
-		case packet.TypeACK:
-			if a, err := packet.DecodeACK(ctrl); err == nil {
-				if newly := c.core.HandleACK(now, a); newly > 0 {
-					c.snd.Release(c.core.SndLastAck())
-					c.wrReady.Broadcast()
-				}
-			}
-		case packet.TypeNAK:
-			if nak, err := packet.DecodeNAK(ctrl); err == nil {
-				c.ledger.Time(timing.BucketLossProc, func() { c.core.HandleNAK(now, nak.Losses) })
-			}
-		case packet.TypeACK2:
-			c.core.HandleACK2(now, ctrl.Extra)
-		case packet.TypeKeepAlive:
-			c.core.HandleKeepAlive(now)
-		case packet.TypeShutdown:
-			c.core.HandleShutdown(now)
-			c.failLocked(ErrClosed)
-		case packet.TypeHandshake:
-			// Duplicate handshake response (our ACK of it was lost): ignore;
-			// the listener answers duplicates for accepted conns.
+	ev := c.ep.Dispatch(&in, now)
+	switch ev {
+	case core.EvDropped:
+		c.mu.Unlock()
+		return
+	case core.EvFreshData:
+		if c.ep.Rcv.Available() > 0 {
+			c.rdReady.Broadcast()
 		}
-	})
-	c.rcvBatch.reset()
-	c.drainOutboxLocked(&c.rcvBatch)
-	peerClosed := c.core.Closed()
+	case core.EvAcked:
+		c.wrReady.Broadcast()
+	case core.EvShutdown:
+		c.failLocked(ErrClosed)
+	}
+	c.ep.DrainOutbox(&c.rcvBatch, int32(c.clock.Now()))
+	peerClosed := c.ep.Eng.Closed()
 	c.mu.Unlock()
 	c.sendCtrlBatch(&c.rcvBatch) //nolint:errcheck // control losses are repaired by timers
 	if peerClosed && c.closer != nil {
 		c.closer()
 	}
+	// Any arrival ends quiescence: a flow parked until its EXP deadline
+	// must be rescheduled onto the ACK/NAK cadence, and only a service run
+	// re-derives its wake deadline. For a flow already awake this is a
+	// cheap state check on the shard.
 	c.kickSender()
 }
 
@@ -905,5 +670,5 @@ func (c *Conn) Drained() bool {
 	if c.err != nil {
 		return true
 	}
-	return c.snd.Pending() == 0 && c.core.Unacked() == 0
+	return c.ep.Snd.Pending() == 0 && c.ep.Eng.Unacked() == 0
 }

@@ -148,7 +148,7 @@ func runFlowScale(t testing.TB, flows, dialers int, minEXP time.Duration) flowSc
 	res.p99AckLatency = lat[flows*99/100]
 	var pkts int64
 	for _, c := range conns {
-		pkts += c.core.Stats.PktsSent + c.core.Stats.PktsRecv
+		pkts += c.ep.Eng.Stats.PktsSent + c.ep.Eng.Stats.PktsRecv
 	}
 	if pkts > 0 {
 		res.allocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(pkts)

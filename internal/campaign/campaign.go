@@ -208,13 +208,13 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 		isnI := rng.Int31() & seqno.Max
 		isnR := rng.Int31() & seqno.Max
 		base := chaos.PeerOptions{
-			MSS:             spec.MSS,
-			SndBufPkts:      spec.SndBufPkts,
-			RcvBufPkts:      spec.RcvBufPkts,
-			MinEXP:          spec.MinEXP,
-			PeerDeathTime:   spec.PeerDeathTime,
-			CC:              f.CC,
-			TrackAckLatency: false,
+			MSS:           spec.MSS,
+			SndBufPkts:    spec.SndBufPkts,
+			RcvBufPkts:    spec.RcvBufPkts,
+			MinEXP:        spec.MinEXP,
+			PeerDeathTime: spec.PeerDeathTime,
+			CC:            f.CC,
+			Headroom:      hdrSize,
 		}
 		iOpts := base
 		iOpts.Name = fmt.Sprintf("%s→%s#%d", f.Src, f.Dst, i)
@@ -228,8 +228,8 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 		rOpts.Expect = payload
 		responder := chaos.NewPeer(rOpts)
 
-		initiator.SetOut(hopWriter(eps[f.Src], eps[hops[f.Src][f.Dst]], uint16(topo.index[f.Dst]), spec.MSS))
-		responder.SetOut(hopWriter(eps[f.Dst], eps[hops[f.Dst][f.Src]], uint16(topo.index[f.Src]), spec.MSS))
+		initiator.SetOut(hopWriter(eps[f.Src], eps[hops[f.Src][f.Dst]], uint16(topo.index[f.Dst])))
+		responder.SetOut(hopWriter(eps[f.Dst], eps[hops[f.Dst][f.Src]], uint16(topo.index[f.Src])))
 		initiator.AttachPerf(monitor, spec.PerfEverySYN, int32(i), f.CC, trace.RoleSender)
 		responder.AttachPerf(monitor, spec.PerfEverySYN, int32(i), f.CC, trace.RoleReceiver)
 
@@ -249,9 +249,6 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	}
 	sort.Strings(routers)
 
-	events := append([]chaos.Event(nil), spec.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-
 	// Arrival schedule: indices of flows not yet started, in StartAt order.
 	arrivals := make([]int, len(flows))
 	for i := range arrivals {
@@ -265,14 +262,7 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	rbuf := make([]byte, 65536)
 	var misrouted, unroutable int64
 	nextSample := int64(0)
-	for {
-		now := vc.Now()
-		progress := false
-		for len(events) > 0 && events[0].At <= now {
-			events[0].Do(nw)
-			events = events[1:]
-			progress = true
-		}
+	pump := func(now int64) (progress bool) {
 		for len(arrivals) > 0 && flows[arrivals[0]].spec.StartAt <= now {
 			fl := flows[arrivals[0]]
 			arrivals = arrivals[1:]
@@ -331,7 +321,9 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 			monitor.sampleLinks(now, nw)
 			nextSample += spec.SampleEveryUs
 		}
-		// Completion check.
+		return progress
+	}
+	done := func(now int64) bool {
 		done := len(arrivals) == 0
 		for _, fl := range flows {
 			if !fl.started {
@@ -345,27 +337,14 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 					fl.doneAt = now
 				case iDead && rDead:
 					// both ends gave up: over, unsuccessfully
-				case iDead || rDead:
-					done = false // the survivor must still detect the death
 				default:
-					done = false
+					done = false // still running, or the survivor must still detect the death
 				}
 			}
 		}
-		if done {
-			break
-		}
-		if now >= spec.MaxVirtualTime {
-			rep.TimedOut = true
-			break
-		}
-		if progress {
-			continue // re-pump at the same instant before sleeping
-		}
-		wake := spec.MaxVirtualTime
-		if len(events) > 0 && events[0].At < wake {
-			wake = events[0].At
-		}
+		return done
+	}
+	nextWake := func(wake int64) int64 {
 		if len(arrivals) > 0 && flows[arrivals[0]].spec.StartAt < wake {
 			wake = flows[arrivals[0]].spec.StartAt
 		}
@@ -379,14 +358,12 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 			wake = fl.initiator.NextWake(wake)
 			wake = fl.responder.NextWake(wake)
 		}
-		if t, ok := vc.NextEvent(); ok && t < wake {
-			wake = t
-		}
-		if wake <= now {
-			wake = now + 1 // guarantee progress even on zero-delay links
-		}
-		vc.AdvanceTo(wake)
+		return wake
 	}
+	rep.TimedOut = chaos.Driver{
+		Clock: vc, Net: nw, Events: spec.Events, MaxVirtualTime: spec.MaxVirtualTime,
+		Pump: pump, Done: done, NextWake: nextWake,
+	}.Run()
 
 	rep.ElapsedUs = vc.Now()
 	rep.Misrouted = misrouted
@@ -401,16 +378,14 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	return rep, monitor, nil
 }
 
-// hopWriter returns a Peer out hook that prepends the destination node
-// index and offers the datagram to the first hop — the origin half of the
-// campaign routing shim.
-func hopWriter(ep *netem.Endpoint, firstHop *netem.Endpoint, dst uint16, mss int) func([]byte) {
-	buf := make([]byte, hdrSize+mss+64) // slack for sealed control growth
+// hopWriter returns a Peer out hook that stamps the destination node index
+// into the header the peer reserved and offers the datagram to the first
+// hop — the origin half of the campaign routing shim.
+func hopWriter(ep *netem.Endpoint, firstHop *netem.Endpoint, dst uint16) func([]byte) {
 	to := firstHop.LocalAddr()
 	return func(b []byte) {
-		n := copy(buf[hdrSize:], b)
-		binary.BigEndian.PutUint16(buf, dst)
-		ep.WriteTo(buf[:hdrSize+n], to) //nolint:errcheck // losses are the point
+		binary.BigEndian.PutUint16(b, dst)
+		ep.WriteTo(b, to) //nolint:errcheck // losses are the point
 	}
 }
 

@@ -1,20 +1,20 @@
-// Package chaos is the fault-injection harness: it drives the real UDT
-// protocol engines (internal/core) over a netem fabric and asserts
-// end-to-end properties — data integrity under impairment, eventual
-// peer-death detection across partitions, bounded recovery times.
+// Package chaos is the fault-injection harness: it drives the UDT protocol
+// over a netem fabric and asserts end-to-end properties — data integrity
+// under impairment, eventual peer-death detection across partitions,
+// bounded recovery times.
 //
-// Two drivers are provided. Run executes both endpoints single-threaded
-// under a netem.VirtualClock, so an entire transfer — every packet
-// arrival, timer expiry and impairment draw — is a deterministic function
-// of the Config: two runs with the same seed produce bit-identical
-// Results, and simulated minutes elapse in milliseconds of real time.
-// RunReal executes the full concurrent udt stack (Dial/Listen, goroutines,
-// wall clock) over the same fabric, trading replayability for coverage of
-// the production code path.
-//
-// The endpoint machinery itself — the exported Peer — is shared with
-// internal/campaign, which schedules many Peers across multi-node
-// topologies under the same virtual clock.
+// The virtual-clock drivers — Run (two peers), RunMux (socket-ID
+// demultiplexed flows) and internal/campaign (multi-node topologies) — all
+// schedule Peers with the one Driver loop, single-threaded under a
+// netem.VirtualClock, so an entire transfer — every packet arrival, timer
+// expiry and impairment draw — is a deterministic function of its
+// configuration: two runs with the same seed produce bit-identical results,
+// and simulated minutes elapse in milliseconds of real time. A Peer is the
+// shared core.Endpoint — the byte-level protocol path udt.Conn ships —
+// under a payload model; what the replay does not cover is the concurrency
+// around it (handshake, scheduler, locks). RunReal, RunRendezvous and RunFS
+// execute that: the full udt stack (goroutines, wall clock) over the same
+// fabric, trading replayability for coverage.
 package chaos
 
 import (
@@ -73,21 +73,6 @@ type Config struct {
 	Secure bool
 }
 
-func (c *Config) fill() {
-	if c.MSS == 0 {
-		c.MSS = 1472
-	}
-	if c.SndBufPkts == 0 {
-		c.SndBufPkts = 4096
-	}
-	if c.RcvBufPkts == 0 {
-		c.RcvBufPkts = 4096
-	}
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = 120_000_000
-	}
-}
-
 // PeerResult is one endpoint's outcome.
 type PeerResult struct {
 	// SentBytes is how much of the peer's payload entered the send buffer.
@@ -126,10 +111,97 @@ type Result struct {
 	PathAB, PathBA netem.PathStats
 }
 
+// Driver is the one virtual-clock scheduling loop: Run, RunMux and
+// campaign.Run differ only in how a round pumps datagrams through their
+// Peers, when they are done, and which deadlines of their own bound the
+// sleep. Everything runs on the calling goroutine, so a whole run is a
+// deterministic function of its inputs.
+type Driver struct {
+	// Clock and Net are the run's virtual clock and the fabric on it.
+	Clock *netem.VirtualClock
+	Net   *netem.Net
+	// Events are scripted faults; Run fires them in At order, each before
+	// the pump of its instant.
+	Events []Event
+	// MaxVirtualTime aborts the run, µs.
+	MaxVirtualTime int64
+	// Pump runs one scheduling round at virtual time now and reports
+	// whether anything happened; the round repeats at the same instant
+	// until nothing does.
+	Pump func(now int64) (progress bool)
+	// Done is the completion check, evaluated after every pump.
+	Done func(now int64) bool
+	// NextWake folds the caller's deadlines into bound, returning the
+	// earliest.
+	NextWake func(bound int64) int64
+}
+
+// Run drives the loop until Done reports completion (false) or the clock
+// reaches MaxVirtualTime (true).
+func (d Driver) Run() (timedOut bool) {
+	events := append([]Event(nil), d.Events...)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	for {
+		now := d.Clock.Now()
+		progress := false
+		for len(events) > 0 && events[0].At <= now {
+			events[0].Do(d.Net)
+			events = events[1:]
+			progress = true
+		}
+		if d.Pump(now) {
+			progress = true
+		}
+		if d.Done(now) {
+			return false
+		}
+		if now >= d.MaxVirtualTime {
+			return true
+		}
+		if progress {
+			continue // re-pump at the same instant before sleeping
+		}
+		wake := d.MaxVirtualTime
+		if len(events) > 0 && events[0].At < wake {
+			wake = events[0].At
+		}
+		wake = d.NextWake(wake)
+		if t, ok := d.Clock.NextEvent(); ok && t < wake {
+			wake = t
+		}
+		if wake <= now {
+			wake = now + 1 // guarantee progress even on zero-delay links
+		}
+		d.Clock.AdvanceTo(wake)
+	}
+}
+
+// allDone reports whether every peer is finished or dead, recording the
+// instant of any death it observes.
+func allDone(now int64, peers []*Peer) bool {
+	done := true
+	for _, p := range peers {
+		if !p.NoteBroken(now) && !p.Finished() {
+			done = false
+		}
+	}
+	return done
+}
+
+// nextWake folds every peer's next deadline into bound.
+func nextWake(bound int64, peers []*Peer) int64 {
+	for _, p := range peers {
+		bound = p.NextWake(bound)
+	}
+	return bound
+}
+
 // Run executes one chaos transfer under a virtual clock and returns its
 // outcome. It is fully deterministic: same Config, same Result.
 func Run(cfg Config) Result {
-	cfg.fill()
+	if cfg.MaxVirtualTime == 0 {
+		cfg.MaxVirtualTime = 120_000_000
+	}
 	vc := netem.NewVirtualClock(0)
 	nw := netem.New(cfg.Seed, vc)
 	rng := rand.New(rand.NewSource(cfg.Seed)) //nolint:gosec // reproducibility, not crypto
@@ -161,64 +233,47 @@ func Run(cfg Config) Result {
 		secA = secure.NewSession(keys, nonceA[:], nonceB[:], true, isnA, isnB, true)
 		secB = secure.NewSession(keys, nonceA[:], nonceB[:], false, isnB, isnA, true)
 	}
-	a := newPeer("a", cfg, cfg.CCA, isnA, isnB, epA, epB.LocalAddr(), payA, payB, secA)
-	b := newPeer("b", cfg, cfg.CCB, isnB, isnA, epB, epA.LocalAddr(), payB, payA, secB)
-
-	events := append([]Event(nil), cfg.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-
+	oa := PeerOptions{
+		Name: "a", MSS: cfg.MSS, SndBufPkts: cfg.SndBufPkts, RcvBufPkts: cfg.RcvBufPkts,
+		MinEXP: cfg.MinEXP, PeerDeathTime: cfg.PeerDeathTime,
+		CC: cfg.CCA, ISN: isnA, PeerISN: isnB, Payload: payA, Expect: payB, Secure: secA,
+		Out: func(b []byte) { epA.WriteTo(b, epB.LocalAddr()) }, //nolint:errcheck // losses are the point
+	}
+	ob := oa
+	ob.Name, ob.CC, ob.ISN, ob.PeerISN, ob.Payload, ob.Expect, ob.Secure = "b", cfg.CCB, isnB, isnA, payB, payA, secB
+	ob.Out = func(b []byte) { epB.WriteTo(b, epA.LocalAddr()) } //nolint:errcheck
+	a, b := NewPeer(oa), NewPeer(ob)
 	a.Start(vc.Now())
 	b.Start(vc.Now())
 
+	peers := []*Peer{a, b}
+	eps := []*netem.Endpoint{epA, epB}
+	rbuf := make([]byte, 65536)
 	res := Result{}
-	peers := [2]*Peer{a, b}
-	for {
-		now := vc.Now()
-		progress := false
-		for len(events) > 0 && events[0].At <= now {
-			events[0].Do(nw)
-			events = events[1:]
-			progress = true
-		}
-		for _, p := range peers {
-			if p.Pump(now) {
-				progress = true
+	res.TimedOut = Driver{
+		Clock: vc, Net: nw, Events: cfg.Events, MaxVirtualTime: cfg.MaxVirtualTime,
+		Pump: func(now int64) (progress bool) {
+			for i, p := range peers {
+				if p.Eng.Broken() {
+					continue
+				}
+				for {
+					n, _, ok := eps[i].TryReadFrom(rbuf)
+					if !ok {
+						break
+					}
+					p.Deliver(now, rbuf[:n])
+					progress = true
+				}
+				if p.Service(now) {
+					progress = true
+				}
 			}
-		}
-		done := true
-		for _, p := range peers {
-			if p.NoteBroken(now) {
-				continue
-			}
-			if !p.Finished() {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if now >= cfg.MaxVirtualTime {
-			res.TimedOut = true
-			break
-		}
-		if progress {
-			continue // re-pump at the same instant before sleeping
-		}
-		wake := cfg.MaxVirtualTime
-		if len(events) > 0 && events[0].At < wake {
-			wake = events[0].At
-		}
-		for _, p := range peers {
-			wake = p.NextWake(wake)
-		}
-		if t, ok := vc.NextEvent(); ok && t < wake {
-			wake = t
-		}
-		if wake <= now {
-			wake = now + 1 // guarantee progress even on zero-delay links
-		}
-		vc.AdvanceTo(wake)
-	}
+			return progress
+		},
+		Done:     func(now int64) bool { return allDone(now, peers) },
+		NextWake: func(bound int64) int64 { return nextWake(bound, peers) },
+	}.Run()
 
 	res.Elapsed = vc.Now()
 	res.A = a.Result()

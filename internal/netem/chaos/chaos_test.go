@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"udt"
@@ -227,5 +229,51 @@ func TestRunRealCleanLink(t *testing.T) {
 	}
 	if !res.OK {
 		t.Fatalf("transfer not bit-exact: %+v", res)
+	}
+}
+
+// TestDriverLoop pins the shared scheduling loop's two contracts: scripted
+// events fire in At order, each before the pump of its instant, and a
+// zero-delay link — whose delivery is due at the very instant it was
+// written, so the earliest wake is not in the future — still advances the
+// clock by 1 µs instead of spinning.
+func TestDriverLoop(t *testing.T) {
+	vc := netem.NewVirtualClock(0)
+	nw := netem.New(1, vc)
+	epA, _ := nw.Endpoint("a")
+	epB, _ := nw.Endpoint("b")
+	nw.SetLink("a", "b", netem.LinkConfig{}) // zero delay
+	var log []string
+	note := func(s string) func(*netem.Net) { return func(*netem.Net) { log = append(log, s) } }
+	arrivedAt := int64(-1)
+	buf := make([]byte, 16)
+	timedOut := Driver{
+		Clock: vc, Net: nw, MaxVirtualTime: 1000,
+		Events: []Event{{At: 3, Do: note("ev3a")}, {At: 2, Do: note("ev2")}, {At: 3, Do: note("ev3b")}},
+		Pump: func(now int64) bool {
+			log = append(log, fmt.Sprintf("pump@%d", now))
+			if now == 0 && len(log) == 1 {
+				epA.WriteTo([]byte("x"), epB.LocalAddr()) //nolint:errcheck
+			}
+			if _, _, ok := epB.TryReadFrom(buf); ok {
+				arrivedAt = now
+				return true
+			}
+			return false
+		},
+		Done:     func(now int64) bool { return now >= 3 },
+		NextWake: func(bound int64) int64 { return bound },
+	}.Run()
+	if timedOut {
+		t.Fatal("loop timed out")
+	}
+	if arrivedAt != 1 {
+		t.Fatalf("zero-delay datagram arrived at %d µs, want 1 (wake <= now must step to now+1)", arrivedAt)
+	}
+	// Progress (the arrival at 1, the event at 2) re-pumps the same instant
+	// before the clock moves.
+	want := "pump@0 pump@1 pump@1 ev2 pump@2 pump@2 ev3a ev3b pump@3"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("order:\n got %s\nwant %s", got, want)
 	}
 }

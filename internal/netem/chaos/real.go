@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	"udt"
@@ -52,20 +51,10 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed)) //nolint:gosec // reproducibility, not crypto
-	payload := make([]byte, cfg.Payload)
-	rng.Read(payload) //nolint:errcheck
-
-	nw := netem.New(cfg.Seed, nil)
-	epC, err := nw.Endpoint("c")
+	nw, epC, epS, payload, err := realFabric(cfg.Seed, cfg.Payload, cfg.Link)
 	if err != nil {
 		return RealResult{}, err
 	}
-	epS, err := nw.Endpoint("s")
-	if err != nil {
-		return RealResult{}, err
-	}
-	nw.SetLink("c", "s", cfg.Link)
 
 	ucfg := cfg.UDT
 	ucfg.Rand = rand.New(rand.NewSource(cfg.Seed + 1)) //nolint:gosec
@@ -75,72 +64,95 @@ func RunReal(cfg RealConfig) (RealResult, error) {
 	}
 	defer ln.Close() //nolint:errcheck
 
+	start := time.Now()
+	conn, err := udt.DialOn(epC, epS.LocalAddr(), &ucfg)
+	if err != nil {
+		return RealResult{SentHash: hashOf(payload)}, err
+	}
+	return realTransfer(cfg.Timeout, nw, payload, start, conn, ln.Accept)
+}
+
+// realFabric is the head the wall-clock runs share: draw the seed-derived
+// payload and join endpoints "c" and "s" of a fresh fabric by link.
+func realFabric(seed int64, size int, link netem.LinkConfig) (nw *netem.Net, epC, epS *netem.Endpoint, payload []byte, err error) {
+	payload = make([]byte, size)
+	rand.New(rand.NewSource(seed)).Read(payload) //nolint:errcheck,gosec // reproducibility, not crypto
+	nw = netem.New(seed, nil)
+	if epC, err = nw.Endpoint("c"); err == nil {
+		epS, err = nw.Endpoint("s")
+	}
+	nw.SetLink("c", "s", link)
+	return nw, epC, epS, payload, err
+}
+
+// realTransfer is the transfer tail RunReal and RunRendezvous share: write
+// payload on client, poll until it is drained and close; meanwhile read the
+// connection accept yields into a running hash; then fill the result.
+func realTransfer(timeout time.Duration, nw *netem.Net, payload []byte, start time.Time, client *udt.Conn, accept func() (*udt.Conn, error)) (RealResult, error) {
 	res := RealResult{SentHash: hashOf(payload)}
-	var mu sync.Mutex
-	recvHash := newHash()
-	recvDone := make(chan error, 1)
+	type recvEnd struct {
+		bytes int
+		hash  hashState
+		stats udt.Stats
+		err   error
+	}
+	recvDone := make(chan recvEnd, 1)
 	go func() {
-		sc, err := ln.Accept()
+		r := recvEnd{hash: newHash()}
+		sc, err := accept()
 		if err != nil {
-			recvDone <- err
+			r.err = err
+			recvDone <- r
 			return
 		}
 		buf := make([]byte, 65536)
 		for {
 			n, err := sc.Read(buf)
-			if n > 0 {
-				mu.Lock()
-				recvHash.write(buf[:n])
-				res.RecvBytes += n
-				mu.Unlock()
+			r.hash.write(buf[:n])
+			r.bytes += n
+			// Done on byte count, not only EOF: the closing client owns its
+			// whole mux, so if the lossy link eats the shutdown packet there
+			// is nobody left to retransmit it and waiting for EOF turns into
+			// a peer-death timeout.
+			if r.bytes < len(payload) && err == nil {
+				continue
 			}
-			if err != nil {
-				mu.Lock()
-				res.Server = sc.Stats()
-				mu.Unlock()
-				if err == io.EOF {
-					err = nil
-				}
-				recvDone <- err
-				return
+			r.stats = sc.Stats()
+			if r.bytes < len(payload) && err != io.EOF {
+				r.err = err
 			}
+			recvDone <- r
+			return
 		}
 	}()
 
-	start := time.Now()
-	conn, err := udt.DialOn(epC, epS.LocalAddr(), &ucfg)
-	if err != nil {
-		return res, err
-	}
-	if _, err := conn.Write(payload); err != nil {
-		conn.Close() //nolint:errcheck
+	if _, err := client.Write(payload); err != nil {
+		client.Close() //nolint:errcheck
 		return res, fmt.Errorf("chaos: write: %w", err)
 	}
-	drainDeadline := time.Now().Add(cfg.Timeout)
-	for !conn.Drained() {
+	drainDeadline := time.Now().Add(timeout)
+	for !client.Drained() {
 		if time.Now().After(drainDeadline) {
-			conn.Close() //nolint:errcheck
-			return res, fmt.Errorf("chaos: transfer not drained within %v", cfg.Timeout)
+			client.Close() //nolint:errcheck
+			return res, fmt.Errorf("chaos: transfer not drained within %v", timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	res.Client = conn.Stats()
-	conn.Close() //nolint:errcheck
+	res.Client = client.Stats()
+	client.Close() //nolint:errcheck
 
 	select {
-	case err := <-recvDone:
-		if err != nil {
-			return res, fmt.Errorf("chaos: server: %w", err)
+	case r := <-recvDone:
+		res.RecvBytes, res.RecvHash, res.Server = r.bytes, uint64(r.hash), r.stats
+		if r.err != nil {
+			return res, fmt.Errorf("chaos: server: %w", r.err)
 		}
-	case <-time.After(cfg.Timeout):
-		return res, fmt.Errorf("chaos: server read not finished within %v", cfg.Timeout)
+	case <-time.After(timeout):
+		return res, fmt.Errorf("chaos: server read not finished within %v", timeout)
 	}
-	mu.Lock()
-	res.RecvHash = uint64(recvHash)
 	res.OK = res.RecvBytes == len(payload) && res.RecvHash == res.SentHash
 	res.Elapsed = time.Since(start)
 	res.PathCS = nw.PathStats("c", "s")
 	res.PathSC = nw.PathStats("s", "c")
-	mu.Unlock()
 	return res, nil
 }

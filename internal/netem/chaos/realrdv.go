@@ -3,7 +3,6 @@ package chaos
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"sync"
@@ -24,20 +23,10 @@ func RunRendezvous(cfg RealConfig) (RealResult, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed)) //nolint:gosec // reproducibility, not crypto
-	payload := make([]byte, cfg.Payload)
-	rng.Read(payload) //nolint:errcheck
-
-	nw := netem.New(cfg.Seed, nil)
-	epC, err := nw.Endpoint("c")
+	nw, epC, epS, payload, err := realFabric(cfg.Seed, cfg.Payload, cfg.Link)
 	if err != nil {
 		return RealResult{}, err
 	}
-	epS, err := nw.Endpoint("s")
-	if err != nil {
-		return RealResult{}, err
-	}
-	nw.SetLink("c", "s", cfg.Link)
 
 	cfgC := cfg.UDT
 	cfgC.Rand = rand.New(rand.NewSource(cfg.Seed + 1)) //nolint:gosec
@@ -46,7 +35,6 @@ func RunRendezvous(cfg RealConfig) (RealResult, error) {
 	cfgS.Rand = rand.New(rand.NewSource(cfg.Seed + 2)) //nolint:gosec
 	cfgS.HandshakeTimeout = cfg.Timeout
 
-	res := RealResult{SentHash: hashOf(payload)}
 	start := time.Now()
 	type rdv struct {
 		c   *udt.Conn
@@ -66,69 +54,10 @@ func RunRendezvous(cfg RealConfig) (RealResult, error) {
 		if sr.c != nil {
 			sr.c.Close() //nolint:errcheck
 		}
-		return res, fmt.Errorf("chaos: rendezvous: c=%v s=%v", errC, sr.err)
+		return RealResult{SentHash: hashOf(payload)}, fmt.Errorf("chaos: rendezvous: c=%v s=%v", errC, sr.err)
 	}
 	defer sr.c.Close() //nolint:errcheck
-
-	recvHash := newHash()
-	recvDone := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 65536)
-		for {
-			n, err := sr.c.Read(buf)
-			if n > 0 {
-				recvHash.write(buf[:n])
-				res.RecvBytes += n
-			}
-			if res.RecvBytes >= len(payload) {
-				// Done on byte count, not EOF: the closing client owns its
-				// whole rendezvous mux, so if the lossy link eats the
-				// shutdown packet there is nobody left to retransmit it and
-				// waiting for EOF turns into a peer-death timeout.
-				res.Server = sr.c.Stats()
-				recvDone <- nil
-				return
-			}
-			if err != nil {
-				res.Server = sr.c.Stats()
-				if err == io.EOF {
-					err = nil
-				}
-				recvDone <- err
-				return
-			}
-		}
-	}()
-
-	if _, err := cc.Write(payload); err != nil {
-		cc.Close() //nolint:errcheck
-		return res, fmt.Errorf("chaos: write: %w", err)
-	}
-	drainDeadline := time.Now().Add(cfg.Timeout)
-	for !cc.Drained() {
-		if time.Now().After(drainDeadline) {
-			cc.Close() //nolint:errcheck
-			return res, fmt.Errorf("chaos: transfer not drained within %v", cfg.Timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	res.Client = cc.Stats()
-	cc.Close() //nolint:errcheck
-
-	select {
-	case err := <-recvDone:
-		if err != nil {
-			return res, fmt.Errorf("chaos: server: %w", err)
-		}
-	case <-time.After(cfg.Timeout):
-		return res, fmt.Errorf("chaos: server read not finished within %v", cfg.Timeout)
-	}
-	res.RecvHash = uint64(recvHash)
-	res.OK = res.RecvBytes == len(payload) && res.RecvHash == res.SentHash
-	res.Elapsed = time.Since(start)
-	res.PathCS = nw.PathStats("c", "s")
-	res.PathSC = nw.PathStats("s", "c")
-	return res, nil
+	return realTransfer(cfg.Timeout, nw, payload, start, cc, func() (*udt.Conn, error) { return sr.c, nil })
 }
 
 // FSConfig parameterizes a RunFS transfer: a udtfs server and resumable
@@ -203,10 +132,10 @@ func RunFS(cfg FSConfig) (FSResult, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed)) //nolint:gosec // reproducibility, not crypto
-	payload := make([]byte, cfg.Payload)
-	rng.Read(payload) //nolint:errcheck
-
+	nw, epC, epS, payload, err := realFabric(cfg.Seed, cfg.Payload, cfg.Link)
+	if err != nil {
+		return FSResult{}, err
+	}
 	dir, err := os.MkdirTemp("", "udtfs-chaos-")
 	if err != nil {
 		return FSResult{}, err
@@ -216,17 +145,6 @@ func RunFS(cfg FSConfig) (FSResult, error) {
 	if err := os.WriteFile(path, payload, 0o600); err != nil {
 		return FSResult{}, err
 	}
-
-	nw := netem.New(cfg.Seed, nil)
-	epC, err := nw.Endpoint("c")
-	if err != nil {
-		return FSResult{}, err
-	}
-	epS, err := nw.Endpoint("s")
-	if err != nil {
-		return FSResult{}, err
-	}
-	nw.SetLink("c", "s", cfg.Link)
 
 	ucfg := cfg.UDT
 	ucfg.Rand = rand.New(rand.NewSource(cfg.Seed + 1)) //nolint:gosec

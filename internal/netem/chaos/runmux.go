@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 
 	"udt/internal/mux"
 	"udt/internal/netem"
@@ -103,43 +102,28 @@ type MuxResult struct {
 	PathAB, PathBA netem.PathStats
 }
 
-// muxFlowPeer adapts one chaos peer to the demultiplexer: dispatched
-// datagrams are queued (copied — Dispatch's buffer is reused) and drained
-// on the flow's next scheduling round.
+// muxFlowPeer adapts one chaos peer to the demultiplexer: a dispatched
+// datagram goes straight through the flow's endpoint at the clock's current
+// instant (Dispatch's buffer is reused, and Deliver keeps nothing of it).
 type muxFlowPeer struct {
 	*Peer
-	inbox [][]byte
+	vc *netem.VirtualClock
 }
 
-// HandleDatagram implements mux.Flow: the demultiplexed datagram is copied
-// into the inbox for the single-threaded driver to replay deterministically.
+// HandleDatagram implements mux.Flow.
 func (f *muxFlowPeer) HandleDatagram(raw []byte) {
-	f.inbox = append(f.inbox, append([]byte(nil), raw...))
+	if !f.Eng.Broken() {
+		f.Deliver(f.vc.Now(), raw)
+	}
 }
 
-// drain feeds queued datagrams through the engine.
-func (f *muxFlowPeer) drain(now int64) (progress bool) {
-	if len(f.inbox) == 0 {
-		return false
-	}
-	if !f.eng.Broken() {
-		for _, m := range f.inbox {
-			f.Deliver(now, m)
-		}
-		progress = true
-	}
-	f.inbox = f.inbox[:0]
-	return progress
-}
-
-// prefixedWriter returns an out hook that stamps dest into a socket-ID
-// prefix ahead of every datagram — the multiplexed wire format.
-func prefixedWriter(ep *netem.Endpoint, to net.Addr, dest int32, mss int) func([]byte) {
-	buf := make([]byte, mux.DestPrefix+mss)
+// prefixedWriter returns an out hook that stamps dest into the socket-ID
+// prefix the peer reserved ahead of every datagram — the multiplexed wire
+// format.
+func prefixedWriter(ep *netem.Endpoint, to net.Addr, dest int32) func([]byte) {
 	return func(b []byte) {
-		n := copy(buf[mux.DestPrefix:], b)
-		mux.PutDest(buf, dest)
-		ep.WriteTo(buf[:mux.DestPrefix+n], to) //nolint:errcheck // losses are the point
+		mux.PutDest(b, dest)
+		ep.WriteTo(b, to) //nolint:errcheck // losses are the point
 	}
 }
 
@@ -170,20 +154,22 @@ func RunMux(cfg MuxConfig) MuxResult {
 	coreA := mux.NewCore(func([]byte, net.Addr) {})
 	coreB := mux.NewCore(func([]byte, net.Addr) {})
 
-	base := Config{
+	base := PeerOptions{
 		MSS:           cfg.MSS,
 		SndBufPkts:    cfg.SndBufPkts,
 		RcvBufPkts:    cfg.RcvBufPkts,
 		MinEXP:        cfg.MinEXP,
 		PeerDeathTime: cfg.PeerDeathTime,
+		Headroom:      mux.DestPrefix,
 	}
-	flowsA := make([]*muxFlowPeer, cfg.Flows)
-	flowsB := make([]*muxFlowPeer, cfg.Flows)
+	flowsA := make([]*Peer, cfg.Flows)
+	flowsB := make([]*Peer, cfg.Flows)
 	flowCC := make([]string, cfg.Flows)
 	for i := 0; i < cfg.Flows; i++ {
 		if len(cfg.CCs) > 0 {
 			flowCC[i] = cfg.CCs[i%len(cfg.CCs)]
 		}
+		base.CC = flowCC[i]
 		payA := make([]byte, cfg.PayloadPerFlow)
 		rng.Read(payA) //nolint:errcheck // never fails
 		payB := make([]byte, cfg.PayloadPerFlow)
@@ -192,24 +178,19 @@ func RunMux(cfg MuxConfig) MuxResult {
 		isnB := rng.Int31() & seqno.Max
 		idA := mux.MakeID(int32(0x1000_0000 + i))
 		idB := mux.MakeID(int32(0x2000_0000 + i))
-		pa := newPeer(fmt.Sprintf("a%d", i), base, flowCC[i], isnA, isnB, epA, epB.LocalAddr(), payA, payB, nil)
-		pb := newPeer(fmt.Sprintf("b%d", i), base, flowCC[i], isnB, isnA, epB, epA.LocalAddr(), payB, payA, nil)
-		pa.SetOut(prefixedWriter(epA, epB.LocalAddr(), idB, cfg.MSS))
-		pb.SetOut(prefixedWriter(epB, epA.LocalAddr(), idA, cfg.MSS))
-		fa := &muxFlowPeer{Peer: pa}
-		fb := &muxFlowPeer{Peer: pb}
-		if !coreA.Register(idA, fa) || !coreB.Register(idB, fb) {
+		base.ISN, base.PeerISN, base.Payload, base.Expect = isnA, isnB, payA, payB
+		base.Name, base.Out = fmt.Sprintf("a%d", i), prefixedWriter(epA, epB.LocalAddr(), idB)
+		flowsA[i] = NewPeer(base)
+		base.ISN, base.PeerISN, base.Payload, base.Expect = isnB, isnA, payB, payA
+		base.Name, base.Out = fmt.Sprintf("b%d", i), prefixedWriter(epB, epA.LocalAddr(), idA)
+		flowsB[i] = NewPeer(base)
+		if !coreA.Register(idA, &muxFlowPeer{flowsA[i], vc}) || !coreB.Register(idB, &muxFlowPeer{flowsB[i], vc}) {
 			panic(fmt.Sprintf("chaos: socket ID collision at flow %d", i))
 		}
-		flowsA[i], flowsB[i] = fa, fb
 	}
-
-	events := append([]Event(nil), cfg.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-
-	for i := range flowsA {
-		flowsA[i].Start(vc.Now())
-		flowsB[i].Start(vc.Now())
+	peers := append(append([]*Peer(nil), flowsA...), flowsB...)
+	for _, p := range peers {
+		p.Start(vc.Now())
 	}
 
 	res := MuxResult{Flows: make([]FlowResult, cfg.Flows)}
@@ -217,75 +198,34 @@ func RunMux(cfg MuxConfig) MuxResult {
 	sides := [2]struct {
 		ep    *netem.Endpoint
 		core  *mux.Core
-		flows []*muxFlowPeer
+		flows []*Peer
 	}{
 		{epA, coreA, flowsA},
 		{epB, coreB, flowsB},
 	}
-	for {
-		now := vc.Now()
-		progress := false
-		for len(events) > 0 && events[0].At <= now {
-			events[0].Do(nw)
-			events = events[1:]
-			progress = true
-		}
-		for _, s := range sides {
-			for {
-				n, from, ok := s.ep.TryReadFrom(rbuf)
-				if !ok {
-					break
-				}
-				s.core.Dispatch(rbuf[:n], from)
-				progress = true
-			}
-			for _, f := range s.flows {
-				if f.drain(now) {
+	res.TimedOut = Driver{
+		Clock: vc, Net: nw, Events: cfg.Events, MaxVirtualTime: cfg.MaxVirtualTime,
+		Pump: func(now int64) (progress bool) {
+			for _, s := range sides {
+				for {
+					n, from, ok := s.ep.TryReadFrom(rbuf)
+					if !ok {
+						break
+					}
+					s.core.Dispatch(rbuf[:n], from)
 					progress = true
 				}
-				if f.Service(now) {
-					progress = true
+				for _, f := range s.flows {
+					if f.Service(now) {
+						progress = true
+					}
 				}
 			}
-		}
-		done := true
-		for _, s := range sides {
-			for _, f := range s.flows {
-				if f.NoteBroken(now) {
-					continue
-				}
-				if !f.Finished() {
-					done = false
-				}
-			}
-		}
-		if done {
-			break
-		}
-		if now >= cfg.MaxVirtualTime {
-			res.TimedOut = true
-			break
-		}
-		if progress {
-			continue // re-pump at the same instant before sleeping
-		}
-		wake := cfg.MaxVirtualTime
-		if len(events) > 0 && events[0].At < wake {
-			wake = events[0].At
-		}
-		for _, s := range sides {
-			for _, f := range s.flows {
-				wake = f.NextWake(wake)
-			}
-		}
-		if t, ok := vc.NextEvent(); ok && t < wake {
-			wake = t
-		}
-		if wake <= now {
-			wake = now + 1 // guarantee progress even on zero-delay links
-		}
-		vc.AdvanceTo(wake)
-	}
+			return progress
+		},
+		Done:     func(now int64) bool { return allDone(now, peers) },
+		NextWake: func(bound int64) int64 { return nextWake(bound, peers) },
+	}.Run()
 
 	res.Elapsed = vc.Now()
 	res.OK = !res.TimedOut

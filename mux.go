@@ -349,10 +349,10 @@ type muxFlow struct {
 func (f *muxFlow) HandleDatagram(raw []byte) {
 	if c := f.conn.Load(); c != nil {
 		if at := f.m.batchAt; !at.IsZero() {
-			c.handleDatagramAt(raw, c.clock.At(at))
+			c.handleDatagram(raw, c.clock.At(at))
 			return
 		}
-		c.handleDatagram(raw)
+		c.handleDatagram(raw, c.clock.Now())
 	}
 }
 

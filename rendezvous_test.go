@@ -91,7 +91,7 @@ func TestRendezvousSecure(t *testing.T) {
 	cfgA := &Config{PSK: psk, AEAD: true}
 	cfgB := &Config{PSK: psk, AEAD: true}
 	a, b := rdvPipe(t, cfgA, cfgB)
-	if !a.aead || !b.aead {
+	if !aeadOn(a) || !aeadOn(b) {
 		t.Fatal("rendezvous crossing did not negotiate the sealed channel")
 	}
 	exchange(t, a, b, 32<<10)

@@ -12,6 +12,10 @@ go build ./...
 # The root package's non-test line count — the shells around the one
 # engine — is a tracked outcome (ROADMAP, "quality of design").
 echo "root package non-test Go lines: $(ls *.go | grep -v _test | xargs wc -l | tail -1)"
+# So is what is left of the test-only shells (chaos.Peer and the
+# virtual-clock drivers), and the whole tree outside the frozen benchmark.
+echo "chaos + campaign non-test Go lines: $(ls internal/netem/chaos/*.go internal/campaign/*.go | grep -v _test | xargs wc -l | tail -1)"
+echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs wc -l | tail -1)"
 # Cross-compile gates: the Linux offload fast path (GSO/GRO, SO_REUSEPORT
 # groups, mmap sendfile) must keep the portable stubs compiling on
 # platforms that lack it.

@@ -123,6 +123,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatal(what)
 }
 
+// aeadOn reports whether c negotiated the sealed data channel.
+func aeadOn(c *Conn) bool { return c.ep.Sec != nil && c.ep.Sec.AEAD() }
+
 // TestSecureHandshakeAEAD is the happy path: both sides hold the PSK and
 // ask for the sealed channel. The dial must traverse the cookie challenge
 // (counted), both sessions must come up AEAD, and data must flow both ways.
@@ -132,10 +135,10 @@ func TestSecureHandshakeAEAD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.client.sec == nil || p.server.sec == nil {
+	if p.client.ep.Sec == nil || p.server.ep.Sec == nil {
 		t.Fatal("secure dial produced a cleartext session")
 	}
-	if !p.client.aead || !p.server.aead {
+	if !aeadOn(p.client) || !aeadOn(p.server) {
 		t.Fatal("both sides requested AEAD but the sealed channel is off")
 	}
 	echo(t, p.client, p.server, []byte("sealed end to end"))
@@ -182,7 +185,7 @@ func TestSecureNegotiateDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.client.sec != nil || p.server.sec != nil {
+		if p.client.ep.Sec != nil || p.server.ep.Sec != nil {
 			t.Fatal("clear client negotiated a secure session")
 		}
 		echo(t, p.client, p.server, []byte("negotiated down to clear"))
@@ -200,7 +203,7 @@ func TestSecureNegotiateDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.client.sec != nil || p.server.sec != nil {
+		if p.client.ep.Sec != nil || p.server.ep.Sec != nil {
 			t.Fatal("clear server negotiated a secure session")
 		}
 		echo(t, p.client, p.server, []byte("lax client fell back"))
@@ -228,10 +231,10 @@ func TestSecureNegotiateDown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.client.sec == nil || p.server.sec == nil {
+		if p.client.ep.Sec == nil || p.server.ep.Sec == nil {
 			t.Fatal("session not authenticated")
 		}
-		if p.client.aead || p.server.aead {
+		if aeadOn(p.client) || aeadOn(p.server) {
 			t.Fatal("AEAD granted though only one side requested it")
 		}
 		echo(t, p.client, p.server, []byte("authenticated, not sealed"))
@@ -285,7 +288,7 @@ func TestSecureMuxDial(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("accept timed out")
 	}
-	if !client.aead || !server.aead {
+	if !aeadOn(client) || !aeadOn(server) {
 		t.Fatal("mux-to-mux dial did not come up AEAD")
 	}
 	echo(t, client, server, []byte("sealed across shared sockets"))
@@ -366,7 +369,7 @@ func TestSecureReplayedControlDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.client.mu.Lock()
-	sealed := append([]byte(nil), p.client.sec.SealCtrl(raw[:n])...)
+	sealed := append([]byte(nil), p.client.ep.Sec.SealCtrl(raw[:n])...)
 	p.client.mu.Unlock()
 
 	// Bare, the capture matches no route and never reaches the replay
