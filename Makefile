@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race muxrace fabric vet ci bench smoke docs chaos ccmatrix campaign
+.PHONY: all build test race muxrace fabric vet ci smoke docs chaos ccmatrix campaign
 
 all: build
 
@@ -35,13 +35,6 @@ vet:
 ci:
 	sh scripts/ci.sh
 
-# bench regenerates the performance snapshot; diff against BENCH_baseline.json
-# to spot regressions (numbers are machine-dependent — compare ratios, and the
-# alloc counts, which must be exactly zero).
-bench:
-	sh scripts/bench.sh BENCH_current.json
-	@cat BENCH_current.json
-
 # docs runs the documentation gates: godoc coverage of the audited packages
 # (including the root package and the timer wheel) and Markdown link
 # integrity.
@@ -67,12 +60,11 @@ ccmatrix:
 
 # campaign runs the CI topology campaigns: the 100-flow mixed-law dumbbell
 # and the 32-flow flash-crowd star over multi-hop netem fabrics, each
-# replayed twice and required to hash identically, then diffed against the
-# pinned perf baseline. Seconds of wall time; see DESIGN.md §4.12 and
-# EXPERIMENTS.md.
+# replayed twice and required to hash identically. Their digests are pinned
+# across commits by TestCISetDigestsPinned (internal/campaign). Seconds of
+# wall time; see DESIGN.md §4.12 and EXPERIMENTS.md.
 campaign:
-	$(GO) run ./cmd/udtchaos -campaign -determinism -metrics BENCH_campaign.json -v
-	$(GO) run ./scripts/benchdiff -baseline BENCH_baseline.json -current BENCH_campaign.json
+	$(GO) run ./cmd/udtchaos -campaign -determinism -v
 
 # smoke is the fast correctness pass: the allocation gates plus the simulator
 # determinism suite.

@@ -2,8 +2,9 @@
 // each to its experiment). Simulation-backed results run at a reduced,
 // deterministic scale and report their headline metric through
 // b.ReportMetric; cmd/simbench prints the full series, and -full there runs
-// the paper-scale parameters. Real-transport results (Table 3, Figs. 10,
-// 14, 15) measure the actual UDP implementation on loopback.
+// the paper-scale parameters. Real-transport results (Figs. 10, 15, the
+// datapath sweeps) measure the actual UDP implementation on loopback; Table 3
+// and Fig. 14 are bash bench/run.sh --workload bulk_clear [--trace 1].
 //
 // Run a single figure with e.g.:
 //
@@ -24,7 +25,6 @@ import (
 	"udt/internal/experiments"
 	"udt/internal/losslist"
 	"udt/internal/netsim"
-	"udt/internal/timing"
 )
 
 // newRcvBufferForBench builds a protocol receive buffer for the Fig. 10
@@ -287,52 +287,6 @@ func loopbackTransfer(b *testing.B, cfg *udt.Config, size int) (float64, udt.Sta
 	return float64(size*8) / elapsed.Seconds() / 1e6, st
 }
 
-// BenchmarkFig14CPU measures memory-to-memory loopback throughput of the
-// real implementation — the workload behind the paper's Fig. 14 CPU
-// numbers — reporting goodput and protocol overhead. Offload is disabled
-// so the number stays comparable across kernels (and with the historical
-// baseline): this is the bare sendmmsg/recvmmsg datapath.
-// BenchmarkLoopbackGSO measures the offloaded one.
-func BenchmarkFig14CPU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mbps, st := loopbackTransfer(b, &udt.Config{DisableOffload: true}, 32<<20)
-		b.ReportMetric(mbps, "Mbps")
-		b.ReportMetric(float64(st.PktsRetrans), "retrans")
-	}
-}
-
-// BenchmarkLoopbackGSO is BenchmarkFig14CPU with segmentation offload
-// live: data bursts leave as UDP_SEGMENT trains (one syscall, one kernel
-// traversal for up to 44 packets) and arrive GRO-coalesced. The
-// syscalls-per-packet metric is the direct measure of the §4.1
-// amortization; on kernels without offload support it degrades to the
-// sendmmsg path and the metric shows it.
-func BenchmarkLoopbackGSO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		mbps, st := loopbackTransfer(b, nil, 32<<20)
-		b.ReportMetric(mbps, "Mbps")
-		if st.PktsSent > 0 {
-			b.ReportMetric(float64(st.SendSyscalls)/float64(st.PktsSent), "syscalls/pkt")
-		}
-	}
-}
-
-// BenchmarkLoopbackAEAD is BenchmarkLoopbackGSO with Secure UDT fully on:
-// PSK-authenticated handshake, then every data packet sealed with
-// AES-256-GCM in the send arena and opened in place on receive. The
-// delta against loopback_gso_mbps is the whole-stack crypto tax tracked in
-// BENCH_baseline.json as aead_mbps.
-func BenchmarkLoopbackAEAD(b *testing.B) {
-	cfg := &udt.Config{PSK: []byte("bench loopback pre-shared key 32"), AEAD: true}
-	for i := 0; i < b.N; i++ {
-		mbps, st := loopbackTransfer(b, cfg, 32<<20)
-		b.ReportMetric(mbps, "Mbps")
-		if st.AuthRejects != 0 || st.ReplayDrops != 0 {
-			b.Fatalf("clean loopback counted crypto rejects: %+v", st)
-		}
-	}
-}
-
 // BenchmarkLoopbackBatchSize sweeps Config.BatchSize — the burst claimed
 // per sender-lock acquisition, the sendmmsg batch, and the GSO train
 // ceiling (kernel-capped at 44 segments).
@@ -455,22 +409,6 @@ func BenchmarkSendFileZC(b *testing.B) {
 		}
 		ln.Close()
 		b.ReportMetric(float64(size*8)/elapsed.Seconds()/1e6, "Mbps")
-	}
-}
-
-// BenchmarkTable3CPUShares reproduces Table 3's per-function cost
-// breakdown using the compiled-in attribution ledger instead of VTune.
-func BenchmarkTable3CPUShares(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ledger := &timing.Ledger{Enabled: true}
-		cfg := &udt.Config{Ledger: ledger}
-		mbps, _ := loopbackTransfer(b, cfg, 32<<20)
-		b.ReportMetric(mbps, "Mbps")
-		for _, bk := range timing.Buckets() {
-			if share := ledger.Share(bk); share > 0 {
-				b.ReportMetric(share*100, bk.String()+"-pct")
-			}
-		}
 	}
 }
 

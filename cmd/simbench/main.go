@@ -10,8 +10,9 @@
 // fig9 fig11 fig12 fig13 syn mimd pacing highspeed multibottleneck, or "all".
 // -full runs the paper-scale parameters (1 Gb/s, 100 s, up to 400 flows);
 // the default quick scale shrinks rate and duration ~10× while preserving
-// every qualitative shape. Real-transport experiments (Table 3, Fig. 14,
-// Fig. 15) live in the repository benchmarks: go test -bench 'Table3|Fig14|Fig15'.
+// every qualitative shape. The real-transport experiments live elsewhere:
+// Table 3 and Fig. 14 are bash bench/run.sh --workload bulk_clear [--trace 1],
+// Fig. 15 is go test -bench Fig15PacketSize.
 //
 // With -trace DIR the time-series experiments (fig2, fig4, fig5) rerun with
 // per-flow telemetry attached and write one trace CSV per flow per scenario
@@ -47,6 +48,11 @@ func main() {
 	flag.StringVar(&traceDir, "trace", "", "dump per-flow trace CSVs for fig2/fig4/fig5 into this directory")
 	flag.Parse()
 
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
+		os.Exit(2)
+	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
@@ -62,26 +68,42 @@ func main() {
 	}
 	fmt.Printf("# UDT evaluation reproduction — scale: %s, seed %d\n", label, *seed)
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(id)] = true
-	}
-	all := want["all"]
-	ran := 0
-	for _, e := range experimentList {
-		if !all && !want[e.id] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
 		fmt.Printf("\n== %s — %s ==\n", e.id, e.title)
 		e.fn(scale, *seed)
 		fmt.Printf("-- %s done in %v\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches -run=%s\n", *run)
-		os.Exit(2)
+}
+
+// selectExperiments resolves a -run list to the experiments it names, in
+// experimentList order ("all": every one). An id that names none is an
+// error, so a typo cannot pass as an experiment that printed nothing.
+func selectExperiments(run string) ([]experiment, error) {
+	known, valid := map[string]bool{"all": true}, "all"
+	for _, e := range experimentList {
+		known[e.id] = true
+		valid += " " + e.id
 	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(id)
+		want[id] = true
+		if !known[id] {
+			unknown = append(unknown, id)
+		}
+	}
+	if unknown != nil {
+		return nil, fmt.Errorf("unknown experiment id %q (valid: %s)", unknown, valid)
+	}
+	var selected []experiment
+	for _, e := range experimentList {
+		if want["all"] || want[e.id] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }
 
 type experiment struct {

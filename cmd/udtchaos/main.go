@@ -6,7 +6,7 @@
 // Usage:
 //
 //	udtchaos [-seed N] [-determinism] [-ccmatrix] [-campaign] [-real] [-v]
-//	         [-kv] [-metrics FILE] [-report DIR]
+//	         [-report DIR]
 //
 // Exit status is non-zero if any matrix cell fails. With -determinism each
 // cell runs twice and the two results must be bit-identical — the replay
@@ -15,20 +15,17 @@
 // a transfer through loss, and fairness cells race two laws over one shared
 // rate-capped link. With -campaign the CI campaign set runs instead: the
 // 100-flow mixed-law dumbbell and the 32-flow flash-crowd star over multi-hop
-// netem topologies (-kv prints flat benchdiff metric lines, -metrics writes
-// them as JSON, -report writes per-campaign JSONL reports). With -real a
+// netem topologies (-report writes per-campaign JSONL reports). With -real a
 // smoke subset also runs over the production Dial/Listen stack — one
 // transfer per congestion controller.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 
 	"udt"
 	"udt/internal/campaign"
@@ -42,14 +39,12 @@ func main() {
 	ccmatrix := flag.Bool("ccmatrix", false, "run the congestion-control matrix instead of the impairment matrix")
 	camp := flag.Bool("campaign", false, "run the CI campaign set (multi-flow topologies) instead of the impairment matrix")
 	real := flag.Bool("real", false, "also run a smoke subset over the concurrent udt stack")
-	kv := flag.Bool("kv", false, "with -campaign: print flat 'key value' metric lines for the bench history")
-	metricsFile := flag.String("metrics", "", "with -campaign: write flat metrics JSON to this file")
 	reportDir := flag.String("report", "", "with -campaign: write per-campaign JSONL reports into this directory")
 	verbose := flag.Bool("v", false, "print per-cell protocol counters")
 	flag.Parse()
 
 	if *camp {
-		os.Exit(runCampaigns(*determinism, *kv, *metricsFile, *reportDir, *verbose))
+		os.Exit(runCampaigns(*determinism, *reportDir, *verbose))
 	}
 
 	failed := 0
@@ -180,9 +175,8 @@ func main() {
 // runCampaigns executes the CI campaign set and returns the process exit
 // code. With determinism each campaign runs twice and the two reports must
 // hash identically — the replay guarantee, now over whole topologies.
-func runCampaigns(determinism, kv bool, metricsFile, reportDir string, verbose bool) int {
+func runCampaigns(determinism bool, reportDir string, verbose bool) int {
 	failed := 0
-	metrics := make(map[string]float64)
 	for _, spec := range campaign.CISet() {
 		rep, _, err := campaign.Run(spec)
 		if err != nil {
@@ -216,34 +210,11 @@ func runCampaigns(determinism, kv bool, metricsFile, reportDir string, verbose b
 				}
 			}
 		}
-		for k, v := range rep.Metrics() {
-			metrics[k] = v
-		}
 		if reportDir != "" {
 			if err := writeReport(reportDir, spec.Name, rep); err != nil {
 				fmt.Printf("%-12s FAIL report: %v\n", spec.Name, err)
 				failed++
 			}
-		}
-	}
-	keys := make([]string, 0, len(metrics))
-	for k := range metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if kv {
-		for _, k := range keys {
-			fmt.Printf("%s %g\n", k, metrics[k])
-		}
-	}
-	if metricsFile != "" {
-		b, err := json.MarshalIndent(metrics, "", "  ")
-		if err == nil {
-			err = os.WriteFile(metricsFile, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Printf("udtchaos: write metrics: %v\n", err)
-			failed++
 		}
 	}
 	if failed > 0 {

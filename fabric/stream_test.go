@@ -158,8 +158,8 @@ func TestFramedAllocs(t *testing.T) {
 }
 
 // BenchmarkFramedThroughput measures raw datagram goodput through the
-// framed adapter over a real TCP loopback connection — the number
-// BENCH_baseline.json records for the overlay fast path.
+// framed adapter over a real TCP loopback connection: the overlay fast
+// path.
 func BenchmarkFramedThroughput(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -19,9 +19,9 @@ import (
 // timerwheel) in the regime it was built for — goroutine count O(shards),
 // not O(flows). TestFlowScaleSmall is the
 // tier-1 gate (a few thousand flows, asserts the goroutine bound);
-// BenchmarkFlowScale100k is the headline 100k-flow run behind scripts/
-// bench.sh, reporting goodput, p99 write→acked latency, allocs/packet and
-// peak goroutines. EXPERIMENTS.md walks through running and reading it.
+// BenchmarkFlowScale100k is the headline 100k-flow run, reporting goodput,
+// p99 write→acked latency, allocs/packet and peak goroutines.
+// EXPERIMENTS.md walks through running and reading it.
 
 // flowScaleConfig is the stress rig's endpoint configuration: small
 // packets and buffers so memory stays flat at 100k flows, telemetry off
@@ -41,8 +41,7 @@ func flowScaleConfig(minEXP time.Duration) *Config {
 	}
 }
 
-// flowScaleResult is one stress run's record, mirrored (via scripts/
-// bench.sh) into BENCH_baseline.json.
+// flowScaleResult is one stress run's record.
 type flowScaleResult struct {
 	flows          int
 	goodputMbps    float64
@@ -292,7 +291,7 @@ func TestFlowScaleSmall(t *testing.T) {
 // pushes 1 KB through each, and reports the four scale metrics; see
 // EXPERIMENTS.md ("The 100k-flow stress bench") for how to run and read
 // it. It is deliberately heavyweight (tens of seconds on one CPU) — run
-// it via scripts/bench.sh or with -bench=FlowScale100k -benchtime=1x.
+// it with -bench=FlowScale100k -benchtime=1x.
 func BenchmarkFlowScale100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := runFlowScale(b, 100_000, 64, 2*time.Second)

@@ -171,6 +171,32 @@ func TestSmallDumbbellReplayDigestPinned(t *testing.T) {
 	}
 }
 
+// pinnedCISetDigests are the replay fingerprints of the CISet campaigns:
+// the cross-commit gate on the 100-flow four-law dumbbell and the 32-flow
+// star, re-pinned under the same rule as pinnedSmallDumbbellDigest.
+var pinnedCISetDigests = map[string]uint64{
+	"dumbbell100": 0x56cf5e3c2434421d,
+	"star32":      0x381120a8dbc394a8,
+}
+
+func TestCISetDigestsPinned(t *testing.T) {
+	for _, spec := range CISet() {
+		rep, _, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if !rep.OK {
+			t.Errorf("%s: campaign did not complete: %s", spec.Name, rep)
+		}
+		if d, want := rep.Digest(), pinnedCISetDigests[spec.Name]; d != want {
+			t.Errorf("%s: campaign digest = %#016x, pinned %#016x — protocol or report behavior changed",
+				spec.Name, d, want)
+		}
+	}
+}
+
+// TestScriptedEventPerturbsCampaign is the pins' self-test: a behavior
+// change must move the digest, or the gates above could pass anything.
 func TestScriptedEventPerturbsCampaign(t *testing.T) {
 	spec := smallDumbbell(3)
 	base, _, err := Run(spec)

@@ -55,8 +55,7 @@ type CCGoodput struct {
 	AggMbps float64 `json:"agg_mbps"`
 }
 
-// Summary is the campaign's headline numbers — the values the CI
-// regression gate (scripts/benchdiff) tracks.
+// Summary is the campaign's headline numbers.
 type Summary struct {
 	Flows   int `json:"flows"`
 	FlowsOK int `json:"flows_ok"`
@@ -67,7 +66,9 @@ type Summary struct {
 	// JainIndex is Jain's fairness index over the per-flow goodputs:
 	// (Σx)²/(n·Σx²), 1.0 = perfectly fair.
 	JainIndex float64 `json:"jain_index"`
-	// P99AckUs is the pooled 99th-percentile write→acked latency, µs.
+	// P99AckUs is the worst per-flow 99th-percentile write→acked latency,
+	// µs: the max of the flows' own p99s, not a percentile of the pooled
+	// samples.
 	P99AckUs     int64 `json:"p99_ack_us"`
 	RetransTotal int64 `json:"retrans_total"`
 	// CCGoodput breaks aggregate goodput down per law, sorted by name.
@@ -145,19 +146,6 @@ func (r *Report) Digest() uint64 {
 	}
 	h.Write(buf.Bytes()) //nolint:errcheck
 	return h.Sum64()
-}
-
-// Metrics flattens the summary into benchdiff-comparable keys, each
-// prefixed "campaign_<name>_".
-func (r *Report) Metrics() map[string]float64 {
-	p := "campaign_" + r.Name + "_"
-	return map[string]float64{
-		p + "agg_goodput_mbps": r.Summary.AggGoodputMbps,
-		p + "min_flow_mbps":    r.Summary.MinFlowMbps,
-		p + "jain_index":       r.Summary.JainIndex,
-		p + "p99_ack_us":       float64(r.Summary.P99AckUs),
-		p + "flows_ok":         float64(r.Summary.FlowsOK),
-	}
 }
 
 // summarize computes rep.Summary from the per-flow reports.

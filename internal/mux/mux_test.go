@@ -266,7 +266,7 @@ func TestMuxDemuxZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkMuxDemux measures the per-packet cost of the socket-ID dispatch
-// path (one registered flow). Recorded in BENCH_baseline.json.
+// path (one registered flow).
 func BenchmarkMuxDemux(b *testing.B) {
 	c := NewCore(nil)
 	f := &recFlow{}
@@ -285,8 +285,7 @@ type nullFlow struct{ n int }
 func (f *nullFlow) HandleDatagram([]byte) { f.n++ }
 
 // BenchmarkMuxDemuxFlows measures how dispatch scales with the number of
-// flows resident on one socket — the flows-per-socket scaling record for
-// BENCH_baseline.json.
+// flows resident on one socket.
 func BenchmarkMuxDemuxFlows(b *testing.B) {
 	for _, flows := range []int{1, 16, 256, 4096} {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {

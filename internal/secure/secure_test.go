@@ -474,8 +474,8 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // BenchmarkSealData measures the per-packet sealing cost at a wire-size
-// payload; bench.sh derives aead throughput context from the loopback
-// benchmark, this one isolates the crypto itself.
+// payload: the crypto alone. Its whole-stack cost is the repository
+// benchmark's bulk_aead workload against bulk_clear.
 func BenchmarkSealData(b *testing.B) {
 	c, _ := makeSessions(true, 0, 0)
 	payload := bytes.Repeat([]byte{0xAB}, 1448)
@@ -490,7 +490,7 @@ func BenchmarkSealData(b *testing.B) {
 
 // BenchmarkHandshakeAuth measures the full listener-side authenticated
 // handshake compute: cookie check, MAC verify, MAC of the response, and
-// session-key derivation. bench.sh records it as handshake_auth_us.
+// session-key derivation.
 func BenchmarkHandshakeAuth(b *testing.B) {
 	k := DeriveKeys([]byte("bench psk"))
 	body := bytes.Repeat([]byte{3}, 96)

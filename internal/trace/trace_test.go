@@ -193,7 +193,7 @@ func TestCSVRejectsBadInput(t *testing.T) {
 	for _, in := range []string{
 		"",
 		"not,the,header\n",
-		CSVHeader + "\n1,udt\n",                     // short row
+		CSVHeader + "\n1,udt\n", // short row
 		CSVHeader + "\nx" + strings.Repeat(",0", 23) + "\n", // bad int
 	} {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {

@@ -274,8 +274,7 @@ func TestRendezvousCrossingStress(t *testing.T) {
 // BenchmarkRendezvousHandshake measures crossing latency — both sides
 // calling Mux.Rendezvous to established connection — over an in-process
 // pipe, reporting the median so a rare lost-crossing retransmission (a
-// 250 ms outlier by design) does not swamp the typical figure recorded in
-// BENCH_baseline.json.
+// 250 ms outlier by design) does not swamp the typical figure.
 func BenchmarkRendezvousHandshake(b *testing.B) {
 	aEnd, bEnd := fabric.NewPipe(fabric.PipeConfig{Depth: 1 << 12})
 	ma, err := NewMux(aEnd, &Config{Rand: rand.New(rand.NewSource(301))})
