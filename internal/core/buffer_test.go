@@ -379,3 +379,458 @@ func TestSndBufferWriteZCInterleaved(t *testing.T) {
 		}
 	}
 }
+
+// The model-based tests below drive each buffer and a deliberately naive
+// reference model through the same seeded random operation sequence and
+// compare every observable after every operation. The models hold one
+// []byte per sequence number in a plain slice and know nothing about rings,
+// slots or storage, so they pin what the buffers mean, not how they keep it.
+
+// modelCaps are the buffer capacities the model tests run at: a single
+// slot, a capacity below one storage chunk, exact chunk multiples, a ragged
+// last chunk, and the default connection's 8192.
+var modelCaps = []int{1, 3, 16, 17, 32, 8192}
+
+// modelPayload is deliberately odd so stride arithmetic cannot hide behind
+// alignment.
+const modelPayload = 7
+
+// sndModel is the reference SndBuffer: the unacknowledged packets, oldest
+// first. A zero-copy packet aliases the caller's memory, exactly as the
+// real buffer promises to.
+type sndModel struct {
+	capacity int
+	head     int32
+	pkts     [][]byte
+	zc       []bool
+}
+
+func (m *sndModel) write(p []byte, zc bool) int {
+	written := 0
+	for len(p) > 0 && len(m.pkts) < m.capacity {
+		n := min(modelPayload, len(p))
+		if zc {
+			m.pkts = append(m.pkts, p[:n:n])
+		} else {
+			m.pkts = append(m.pkts, append([]byte(nil), p[:n]...))
+		}
+		m.zc = append(m.zc, zc)
+		p = p[n:]
+		written += n
+	}
+	return written
+}
+
+func (m *sndModel) release(seq int32) int {
+	k := int(seqno.Off(m.head, seq))
+	if k <= 0 {
+		return 0
+	}
+	k = min(k, len(m.pkts))
+	m.pkts, m.zc = m.pkts[k:], m.zc[k:]
+	m.head = seqno.Add(m.head, int32(k))
+	return k
+}
+
+// check compares the buffer's counters with the model's and the contents of
+// the packets at offsets [lo, hi) — plus the two sequence numbers just
+// outside the occupied range, which must not be served.
+func (m *sndModel) check(t *testing.T, b *SndBuffer, lo, hi int) {
+	t.Helper()
+	if b.Cap() != m.capacity || b.Pending() != len(m.pkts) || b.Free() != m.capacity-len(m.pkts) {
+		t.Fatalf("cap/pending/free = %d/%d/%d, model %d/%d/%d",
+			b.Cap(), b.Pending(), b.Free(), m.capacity, len(m.pkts), m.capacity-len(m.pkts))
+	}
+	if want := seqno.Add(m.head, int32(len(m.pkts))); b.NextWriteSeq() != want {
+		t.Fatalf("NextWriteSeq = %d, model %d", b.NextWriteSeq(), want)
+	}
+	if _, ok := b.Packet(seqno.Dec(m.head)); ok {
+		t.Fatal("packet before the head served")
+	}
+	if _, ok := b.Packet(b.NextWriteSeq()); ok {
+		t.Fatal("unwritten packet served")
+	}
+	for i := max(lo, 0); i < min(hi, len(m.pkts)); i++ {
+		seq := seqno.Add(m.head, int32(i))
+		p, ok := b.Packet(seq)
+		if !ok || !bytes.Equal(p, m.pkts[i]) {
+			t.Fatalf("Packet(%d) [offset %d of %d] = %x,%v; model %x", seq, i, len(m.pkts), p, ok, m.pkts[i])
+		}
+		if aliased := &p[0] == &m.pkts[i][0]; aliased != m.zc[i] {
+			t.Fatalf("Packet(%d) aliases caller memory = %v, model %v", seq, aliased, m.zc[i])
+		}
+	}
+}
+
+// modelBytes returns n random bytes.
+func modelBytes(rng *rand.Rand, n int) []byte {
+	p := make([]byte, n)
+	rng.Read(p)
+	return p
+}
+
+// TestSndBufferModel runs SndBuffer against sndModel: copied and zero-copy
+// writes of every shape (empty, short, whole packets, larger than the free
+// space), releases inside, at, past the end of and behind the occupied
+// range, mutation of caller-owned zero-copy backing, and a sequence space
+// that wraps through seqno.Max early in every run. Fill-biased and
+// drain-biased phases alternate so the buffer is repeatedly driven full and
+// empty and the ring wraps several times at every capacity.
+func TestSndBufferModel(t *testing.T) {
+	for _, capacity := range modelCaps {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed<<16 + int64(capacity)))
+			first := seqno.Add(seqno.Max, -int32(rng.Intn(2*capacity+3)))
+			b := NewSndBuffer(capacity, modelPayload, first)
+			m := &sndModel{capacity: capacity, head: first}
+			sweep := 64
+			if capacity > 64 {
+				sweep = 512
+			}
+			filling := true
+			for op := 0; op < 4000; op++ {
+				if op%200 == 0 {
+					filling = rng.Intn(2) == 0
+				}
+				lo, hi := 0, 0 // packet offsets whose contents this op may have changed
+				writeBias := 35
+				if filling {
+					writeBias = 65
+				}
+				switch r := rng.Intn(100); {
+				case r < writeBias:
+					var n int
+					switch rng.Intn(6) {
+					case 0:
+						n = 0
+					case 1:
+						n = 1 + rng.Intn(modelPayload-1) // one short packet
+					case 2:
+						n = modelPayload * (1 + rng.Intn(4)) // whole packets only
+					case 3:
+						n = capacity*modelPayload + 5 // more than can ever fit
+					default:
+						n = 1 + rng.Intn(40*modelPayload)
+					}
+					src := modelBytes(rng, n)
+					zc := rng.Intn(3) == 0
+					lo = len(m.pkts)
+					var got int
+					if zc {
+						got = b.WriteZC(src)
+					} else {
+						got = b.Write(src)
+					}
+					if want := m.write(src, zc); got != want {
+						t.Fatalf("cap %d seed %d op %d: write(%d bytes, zc=%v) = %d, model %d", capacity, seed, op, n, zc, got, want)
+					}
+					hi = len(m.pkts)
+					if !zc {
+						// A copied write owes the caller nothing: scribbling on
+						// the source afterwards must not show through.
+						for i := range src {
+							src[i] ^= 0xFF
+						}
+					}
+				case r < 90:
+					var d int
+					switch rng.Intn(8) {
+					case 0:
+						d = len(m.pkts) // everything
+					case 1:
+						d = len(m.pkts) + 1 + rng.Intn(5) // past the end
+					case 2:
+						d = -1 - rng.Intn(100) // stale: behind the head
+					case 3:
+						d = -(1 << 29) // stale by a quarter of the sequence space
+					default:
+						d = rng.Intn(len(m.pkts) + 1)
+					}
+					seq := seqno.Add(m.head, int32(d))
+					got := b.Release(seq)
+					if want := m.release(seq); got != want {
+						t.Fatalf("cap %d seed %d op %d: Release(head%+d) = %d, model %d", capacity, seed, op, d, got, want)
+					}
+					hi = 1 // the new head
+				default:
+					// Mutate the backing of a random zero-copy packet: the
+					// buffer holds no copy, so the change must be served.
+					if len(m.pkts) > 0 {
+						if i := rng.Intn(len(m.pkts)); m.zc[i] {
+							m.pkts[i][rng.Intn(len(m.pkts[i]))] ^= 0x55
+							lo, hi = i, i+1
+						}
+					}
+				}
+				if op%sweep == 0 {
+					lo, hi = 0, len(m.pkts)
+				}
+				m.check(t, b, lo, hi)
+				if i := len(m.pkts) - 1; i >= 0 {
+					m.check(t, b, i, i+1) // the tail, whatever the op was
+				}
+			}
+			// Drain: every packet still queued must come out intact.
+			m.check(t, b, 0, len(m.pkts))
+			b.Release(b.NextWriteSeq())
+			m.release(seqno.Add(m.head, int32(len(m.pkts))))
+			m.check(t, b, 0, 0)
+		}
+	}
+}
+
+// rcvModel is the reference RcvBuffer: win[i] is the payload of sequence
+// number base+i, nil while it has not arrived. It keeps its own copy of
+// every payload, including those the real buffer placed in an attached user
+// buffer, so a copy-back the real buffer forgets shows up as a mismatch.
+type rcvModel struct {
+	capacity int
+	base     int32
+	win      [][]byte
+	inUser   []bool
+	headOff  int
+	nstored  int
+	attached bool
+	userPkts int
+	direct   int64
+	copied   int64
+}
+
+func newRcvModel(capacity int, first int32) *rcvModel {
+	return &rcvModel{capacity: capacity, base: first, win: make([][]byte, capacity), inUser: make([]bool, capacity)}
+}
+
+func (m *rcvModel) store(seq int32, p []byte) bool {
+	off := int(seqno.Off(m.base, seq))
+	if off < 0 || off >= m.capacity || m.win[off] != nil {
+		return false
+	}
+	p = p[:min(len(p), modelPayload)]
+	if m.attached && off < m.userPkts && len(p) == modelPayload {
+		m.inUser[off] = true
+		m.direct += int64(len(p))
+	} else {
+		m.copied += int64(len(p))
+	}
+	m.win[off] = append([]byte{}, p...)
+	m.nstored++
+	return true
+}
+
+// consume drops the first k packets of the window.
+func (m *rcvModel) consume(k int) {
+	copy(m.win, m.win[k:])
+	copy(m.inUser, m.inUser[k:])
+	for i := m.capacity - k; i < m.capacity; i++ {
+		m.win[i], m.inUser[i] = nil, false
+	}
+	m.base = seqno.Add(m.base, int32(k))
+	m.nstored -= k
+}
+
+func (m *rcvModel) available() int {
+	total := 0
+	for _, p := range m.win {
+		if p == nil {
+			break
+		}
+		total += len(p)
+	}
+	return total - m.headOff
+}
+
+func (m *rcvModel) attach(p []byte) bool {
+	if m.attached || m.nstored != 0 || m.headOff != 0 || len(p) < modelPayload {
+		return false
+	}
+	m.attached = true
+	m.userPkts = min(len(p)/modelPayload, m.capacity)
+	return true
+}
+
+// detach returns the bytes the reader received directly, in order.
+func (m *rcvModel) detach() []byte {
+	if !m.attached {
+		return nil
+	}
+	var direct []byte
+	k := 0
+	for k < m.userPkts && m.win[k] != nil && m.inUser[k] {
+		direct = append(direct, m.win[k]...)
+		k++
+	}
+	m.consume(k)
+	for i := range m.inUser {
+		m.inUser[i] = false // stranded islands move back to protocol slots
+	}
+	m.attached, m.userPkts = false, 0
+	return direct
+}
+
+func (m *rcvModel) read(n int) []byte {
+	var out []byte
+	k := 0
+	for len(out) < n && k < m.capacity && m.win[k] != nil {
+		take := min(n-len(out), len(m.win[k])-m.headOff)
+		out = append(out, m.win[k][m.headOff:m.headOff+take]...)
+		m.headOff += take
+		if m.headOff == len(m.win[k]) {
+			m.headOff = 0
+			k++
+		}
+	}
+	m.consume(k)
+	return out
+}
+
+// firstHole is the offset of the first packet that has not arrived.
+func (m *rcvModel) firstHole() int {
+	for i, p := range m.win {
+		if p == nil {
+			return i
+		}
+	}
+	return m.capacity
+}
+
+func (m *rcvModel) check(t *testing.T, b *RcvBuffer) {
+	t.Helper()
+	if b.Cap() != m.capacity || int(b.Free()) != m.capacity-m.nstored {
+		t.Fatalf("cap/free = %d/%d, model %d/%d", b.Cap(), b.Free(), m.capacity, m.capacity-m.nstored)
+	}
+	if b.Available() != m.available() {
+		t.Fatalf("Available = %d, model %d", b.Available(), m.available())
+	}
+	if b.DirectBytes != m.direct || b.CopiedBytes != m.copied {
+		t.Fatalf("direct/copied = %d/%d, model %d/%d", b.DirectBytes, b.CopiedBytes, m.direct, m.copied)
+	}
+}
+
+// TestRcvBufferModel runs RcvBuffer against rcvModel: stores in order, out
+// of order, duplicated, behind the base and beyond the window, short,
+// full-size and over-size; reads that stop inside a head packet; overlapped
+// reads (AttachUser/DetachUser) with user buffers smaller than a packet, of
+// a few packets and larger than the whole window, including packets left
+// stranded in user memory behind a hole — the user buffer is overwritten
+// after every detach, so a missing copy-back corrupts a later read. The
+// sequence space wraps through seqno.Max early in every run.
+func TestRcvBufferModel(t *testing.T) {
+	for _, capacity := range modelCaps {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed<<16 + int64(capacity)))
+			first := seqno.Add(seqno.Max, -int32(rng.Intn(2*capacity+3)))
+			b := NewRcvBuffer(capacity, modelPayload, first)
+			m := newRcvModel(capacity, first)
+			var user []byte
+			store := func(op int, off int) {
+				var n int
+				switch rng.Intn(8) {
+				case 0, 1:
+					n = 1 + rng.Intn(modelPayload-1) // short
+				case 2:
+					n = modelPayload + 3 // over-size: truncated to a full packet
+				default:
+					n = modelPayload
+				}
+				seq, p := seqno.Add(m.base, int32(off)), modelBytes(rng, n)
+				got := b.Store(seq, p)
+				if want := m.store(seq, p); got != want {
+					t.Fatalf("cap %d seed %d op %d: Store(base%+d, %d bytes) = %v, model %v", capacity, seed, op, off, n, got, want)
+				}
+			}
+			// pickOff chooses where the next packet lands: mostly the first
+			// hole (in-order arrival), otherwise a little ahead of it, or
+			// anywhere from behind the base to beyond the window.
+			pickOff := func() int {
+				hole := m.firstHole()
+				switch r := rng.Intn(20); {
+				case r < 11:
+					return hole
+				case r < 17:
+					return hole + rng.Intn(min(capacity, 40)+1)
+				default:
+					return rng.Intn(capacity+10) - 5
+				}
+			}
+			read := func(op, n int) {
+				p := make([]byte, n)
+				got := b.Read(p)
+				want := m.read(n)
+				if got != len(want) || !bytes.Equal(p[:got], want) {
+					t.Fatalf("cap %d seed %d op %d: Read(%d) = %d bytes %x, model %d bytes %x", capacity, seed, op, n, got, p[:got], len(want), want)
+				}
+			}
+			filling := true
+			for op := 0; op < 4000; op++ {
+				if op%200 == 0 {
+					filling = rng.Intn(2) == 0
+				}
+				if m.attached {
+					if rng.Intn(5) > 0 {
+						store(op, pickOff())
+					} else {
+						got := b.DetachUser()
+						want := m.detach()
+						if got != len(want) || !bytes.Equal(user[:got], want) {
+							t.Fatalf("cap %d seed %d op %d: DetachUser = %d bytes %x, model %d bytes %x", capacity, seed, op, got, user[:got], len(want), want)
+						}
+						for i := range user {
+							user[i] = 0xEE // the reader owns it again
+						}
+					}
+					m.check(t, b)
+					continue
+				}
+				storeBias := 40
+				if filling {
+					storeBias = 65
+				}
+				switch r := rng.Intn(100); {
+				case r < storeBias:
+					store(op, pickOff())
+				case r < 88:
+					switch rng.Intn(4) {
+					case 0:
+						read(op, 1+rng.Intn(modelPayload)) // stops inside a head packet
+					case 1:
+						read(op, (capacity+1)*modelPayload) // everything in order
+					default:
+						read(op, 1+rng.Intn(30*modelPayload))
+					}
+				case r < 90:
+					if b.DetachUser() != 0 {
+						t.Fatalf("cap %d seed %d op %d: DetachUser without AttachUser returned bytes", capacity, seed, op)
+					}
+				default:
+					var n int
+					switch rng.Intn(4) {
+					case 0:
+						n = modelPayload - 1 // too small to hold a packet
+					case 1:
+						n = 2 * (capacity + 1) * modelPayload // larger than the window
+					default:
+						n = modelPayload*(1+rng.Intn(6)) + rng.Intn(modelPayload)
+					}
+					user = make([]byte, n)
+					if got, want := b.AttachUser(user), m.attach(user); got != want {
+						t.Fatalf("cap %d seed %d op %d: AttachUser(%d bytes) = %v, model %v", capacity, seed, op, n, got, want)
+					}
+				}
+				m.check(t, b)
+			}
+			// Close every hole and drain: the whole window must read back.
+			if m.attached {
+				b.DetachUser()
+				m.detach()
+			}
+			for hole := m.firstHole(); hole < capacity; hole = m.firstHole() {
+				store(-1, hole)
+			}
+			read(-1, (capacity+1)*modelPayload)
+			m.check(t, b)
+			if b.Free() != int32(capacity) {
+				t.Fatalf("cap %d seed %d: drained buffer reports %d free", capacity, seed, b.Free())
+			}
+		}
+	}
+}
