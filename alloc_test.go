@@ -1,9 +1,16 @@
 package udt
 
 import (
+	"bytes"
+	"io"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"udt/fabric"
 	"udt/internal/core"
 	"udt/internal/packet"
 	"udt/internal/secure"
@@ -129,8 +136,11 @@ func TestSenderPathAllocs(t *testing.T) {
 				data := make([]byte, payload)
 
 				// Warm up: grow the batch arena, the engine's outbox and the
-				// ACK history window to steady state.
-				for i := 0; i < 64; i++ {
+				// ACK history window to steady state, and walk the send
+				// buffer's ring once around — its storage is allocated chunk
+				// by chunk as slots are first occupied, and the gate is on
+				// what a packet costs after that.
+				for i := 0; i < c.cfg.SndBuf+64; i++ {
 					sendCycle(c, data, &batch, scratch, lens, &burst)
 				}
 				sentBefore := c.ep.Eng.Stats.PktsSent
@@ -312,5 +322,209 @@ func TestDrainOutboxSizing(t *testing.T) {
 		if _, err := packet.DecodeControl(m); err != nil {
 			t.Fatalf("drained control packet does not decode: %v", err)
 		}
+	}
+}
+
+// pipeEcho is a default-Config listener and client Mux joined by an
+// in-memory pipe, the listener echoing every accepted connection until its
+// peer closes: the smallest rig a whole connection lifecycle runs on.
+type pipeEcho struct {
+	ln   *Listener
+	mux  *Mux
+	last atomic.Pointer[Conn] // the most recently accepted connection
+	done chan struct{}
+}
+
+func newPipeEcho(t *testing.T, cfg *Config) *pipeEcho {
+	t.Helper()
+	cEnd, sEnd := fabric.NewPipe(fabric.PipeConfig{Depth: 1 << 12})
+	ln, err := ListenOn(sEnd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMux(cEnd, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &pipeEcho{ln: ln, mux: m, done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.last.Store(c)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close() //nolint:errcheck
+				// Not io.Copy: its 32 KiB buffer per connection would be a
+				// fifth of the budget the tests below measure.
+				buf := make([]byte, 2048)
+				for {
+					n, err := c.Read(buf)
+					if err != nil {
+						return // the client closed
+					}
+					if _, err := c.Write(buf[:n]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return p
+}
+
+func (p *pipeEcho) dial(t *testing.T) *Conn {
+	t.Helper()
+	c, err := p.mux.Dial(fabric.Addr("pipe-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// echo sends msg and reads it back into reply.
+func (p *pipeEcho) echo(t *testing.T, c *Conn, msg, reply []byte) {
+	t.Helper()
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(c, reply[:len(msg)]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply[:len(msg)], msg) {
+		t.Fatal("echo mismatch")
+	}
+}
+
+func (p *pipeEcho) close() {
+	p.mux.Close() //nolint:errcheck
+	p.ln.Close()  //nolint:errcheck
+	<-p.done
+}
+
+// liveHeap is the heap in use after two collections (the second frees what
+// the first one's finalizers and sweeps released).
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// payloadChunkBytes is one default-Config buffer chunk's payload memory.
+const payloadChunkBytes = 16 * (1500 - packet.DataHeaderSize)
+
+// TestConnLifecycleBytes is the budget on what a connection costs to make:
+// a default-Config dial, 1 KiB echo and close — the conn_churn cycle of the
+// benchmark — may allocate at most 512 KiB across both ends, and 200 of
+// them may trigger fewer than 50 collections. Buffer capacity is 8192
+// packets each way at both ends; were any of it allocated up front, one
+// cycle would cost tens of megabytes and a collection of its own.
+func TestConnLifecycleBytes(t *testing.T) {
+	p := newPipeEcho(t, nil)
+	defer p.close()
+	msg, reply := make([]byte, 1024), make([]byte, 1024)
+	cycle := func() {
+		c := p.dial(t)
+		p.echo(t, c, msg, reply)
+		c.Close() //nolint:errcheck
+	}
+	for i := 0; i < 10; i++ {
+		cycle() // scheduler queues, pipe pools, shard burst arenas
+	}
+	const cycles = 200
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&b)
+	perConn := (b.TotalAlloc - a.TotalAlloc) / cycles
+	gcs := b.NumGC - a.NumGC
+	t.Logf("bytes/conn=%d (both ends, dial+1KiB echo+close) collections=%d over %d connections", perConn, gcs, cycles)
+	if perConn > 512<<10 {
+		t.Errorf("a connection lifecycle allocates %d B, budget 512 KiB", perConn)
+	}
+	if gcs >= 50 {
+		t.Errorf("%d connections triggered %d collections, budget < 50", cycles, gcs)
+	}
+}
+
+// TestIdleFlowHoldsNoPayload is the budget on what an established flow
+// costs to keep: 64 default-Config flows, dialed and accepted but never
+// written to, may hold at most 48 KiB of live heap each, both ends
+// together — engine, scheduler seat, mux entries and four chunk tables of
+// 512 pointers, and not one payload chunk.
+func TestIdleFlowHoldsNoPayload(t *testing.T) {
+	p := newPipeEcho(t, nil)
+	defer p.close()
+	const flows = 64
+	conns := make([]*Conn, 0, flows)
+	before := liveHeap()
+	for i := 0; i < flows; i++ {
+		conns = append(conns, p.dial(t))
+	}
+	perFlow := (liveHeap() - before) / flows
+	t.Logf("heap/flow=%d (both ends, idle)", perFlow)
+	if perFlow > 48<<10 {
+		t.Errorf("an idle flow holds %d B of live heap, budget 48 KiB", perFlow)
+	}
+	for _, c := range conns {
+		c.Close() //nolint:errcheck // and keeps every flow reachable until measured
+	}
+}
+
+// TestRequestResponseResidency checks that residency follows what is in
+// flight, not how far the ring has walked: a request/response flow that has
+// crossed its 8192-slot rings a dozen times over holds no more than it did
+// after its first exchanges — the allowance is four payload chunks, one per
+// buffer. Acknowledgements come every 64 packets or every SYN, so while the
+// echoes run back to back a send buffer holds a few chunks of unacknowledged
+// packets; both measurements are therefore taken after a few exchanges that
+// each wait for both ends to drain, which is also what shows a flow settling
+// back to one spare chunk per buffer. Telemetry history is off: the perf
+// ring is bounded too, but still filling over a run this short.
+func TestRequestResponseResidency(t *testing.T) {
+	echoes := 100_000
+	if testing.Short() {
+		echoes = 20_000
+	}
+	p := newPipeEcho(t, &Config{PerfHistory: -1})
+	defer p.close()
+	c := p.dial(t)
+	defer c.Close() //nolint:errcheck
+	msg, reply := make([]byte, 1024), make([]byte, 1024)
+	settle := func() uint64 {
+		t.Helper()
+		for i := 0; i < 8; i++ {
+			p.echo(t, c, msg, reply)
+			for deadline := time.Now().Add(5 * time.Second); !c.Drained() || !p.last.Load().Drained(); {
+				if time.Now().After(deadline) {
+					t.Fatal("flow did not drain")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return liveHeap()
+	}
+	for i := 0; i < 100; i++ {
+		p.echo(t, c, msg, reply)
+	}
+	before := settle()
+	for i := 0; i < echoes; i++ {
+		msg[0] = byte(i)
+		p.echo(t, c, msg, reply)
+	}
+	after := settle()
+	t.Logf("heap before=%d after=%d (%+d) over %d one-packet echoes", before, after, int64(after)-int64(before), echoes)
+	if after > before+4*payloadChunkBytes {
+		t.Errorf("heap grew %d B over %d one-packet echoes, allowance %d B (four chunks)", after-before, echoes, 4*payloadChunkBytes)
 	}
 }

@@ -100,14 +100,12 @@ type Conn struct {
 
 	// Sender-service working set, touched only by runTask (the shard
 	// worker serializes services, so no lock is needed beyond mu inside
-	// runTask itself). scratch/lens/burstBufs are the data-burst encode
-	// arena, allocated lazily on the first service that has data to send —
-	// a receive-only or idle flow never pays for them (at 100k flows the
-	// difference is gigabytes).
-	sndBatch  core.SendBatch
-	scratch   []byte
-	lens      []int
-	burstBufs [][]byte
+	// runTask itself). The data-burst encode arena is the shard's, not the
+	// connection's: one service runs at a time, so one arena serves every
+	// flow on the shard. sending is set by the first service that finds
+	// data queued — a receive-only or idle flow never walks the claim path.
+	sndBatch core.SendBatch
+	sending  bool
 
 	bytesSent int64
 
@@ -474,19 +472,14 @@ func (c *Conn) runTask() (int64, bool) {
 	}
 	var nData int
 	wake, decision := int64(0), core.SendData
-	if c.scratch == nil && c.ep.Snd.Pending() > 0 {
-		// First service with data queued: allocate the burst encode arena.
-		// Loss/retransmission state implies earlier data services, so a
-		// nil arena also proves there is nothing to retransmit — flows
-		// that never send (or haven't yet) skip both the allocation and
-		// the claim walk entirely.
-		stride := c.hr + c.cfg.MSS
-		c.scratch = make([]byte, c.burst*stride)
-		c.lens = make([]int, c.burst)
-		c.burstBufs = make([][]byte, 0, c.burst)
-	}
-	if c.scratch != nil {
-		nData, wake, decision = c.ep.ClaimBurst(now, c.sendCost, c.scratch, c.lens)
+	// Loss/retransmission state implies earlier data services, so a flow
+	// that has never had data queued has nothing to retransmit either and
+	// skips the claim walk entirely.
+	c.sending = c.sending || c.ep.Snd.Pending() > 0
+	var arena *burstArena
+	if c.sending {
+		arena = c.shard.arena(c.burst, c.hr+c.cfg.MSS)
+		nData, wake, decision = c.ep.ClaimBurst(now, c.sendCost, arena.scratch, arena.lens)
 	} else {
 		wake = c.ep.Eng.NextWake()
 	}
@@ -501,7 +494,7 @@ func (c *Conn) runTask() (int64, bool) {
 	}
 	if nData > 0 {
 		t0 := time.Now()
-		sent, err := c.sendDataBurst(c.scratch, c.lens, nData, &c.burstBufs)
+		sent, err := c.sendDataBurst(arena.scratch, arena.lens, nData, &arena.bufs)
 		if err != nil {
 			c.mu.Lock()
 			c.failLocked(fmt.Errorf("udt: send: %w", err))

@@ -49,6 +49,7 @@ type flowScaleResult struct {
 	allocsPerPkt   float64
 	peakGoroutines int
 	drops          int64
+	heapPerFlow    uint64 // live heap per flow, both ends, after the push, everything parked
 }
 
 // runFlowScale dials `flows` connections from one client Mux to one
@@ -59,7 +60,11 @@ type flowScaleResult struct {
 // scheduler, so by the tail of the run the wheels hold (flows) parked
 // state machines while new handshakes and transfers still make progress.
 func runFlowScale(t testing.TB, flows, dialers int, minEXP time.Duration) flowScaleResult {
-	cfg := flowScaleConfig(minEXP)
+	return runFlowScaleConfig(t, flowScaleConfig(minEXP), flows, dialers)
+}
+
+// runFlowScaleConfig is runFlowScale with the endpoint configuration given.
+func runFlowScaleConfig(t testing.TB, cfg *Config, flows, dialers int) flowScaleResult {
 	cEnd, sEnd := fabric.NewPipe(fabric.PipeConfig{Depth: 1 << 16})
 	ln, err := ListenOn(sEnd, cfg)
 	if err != nil {
@@ -153,6 +158,7 @@ func runFlowScale(t testing.TB, flows, dialers int, minEXP time.Duration) flowSc
 		res.allocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(pkts)
 	}
 	res.drops = cEnd.Drops() + sEnd.Drops()
+	res.heapPerFlow = (liveHeap() - ms0.HeapAlloc) / uint64(flows)
 
 	if liveGoroutines > 64+dialers {
 		t.Errorf("flow scale: %d live goroutines with %d flows parked; want O(shards+sockets)",
@@ -283,6 +289,29 @@ func TestFlowScaleSmall(t *testing.T) {
 		res.flows, res.goodputMbps, res.p99AckLatency, res.allocsPerPkt, res.peakGoroutines, res.drops)
 	if res.p99AckLatency <= 0 {
 		t.Fatal("no latency samples recorded")
+	}
+}
+
+// TestFlowScaleDefaultConfig is TestFlowScaleSmall with SndBuf, RcvBuf and
+// PerfHistory left at their defaults: 8192-packet buffers both ways at both
+// ends and a 512-record perf ring per end. The rig's own configuration
+// shrinks all of those by hand because they used to be allocated whole with
+// the connection (2000 such flows would have needed some 97 GB); now a flow
+// that has pushed 1 KB holds two payload chunks, and the budget is 128 KiB
+// of live heap per flow, both ends together.
+func TestFlowScaleDefaultConfig(t *testing.T) {
+	flows := 2000
+	if testing.Short() {
+		flows = 300
+	}
+	res := runFlowScaleConfig(t, &Config{}, flows, 32)
+	t.Logf("flows=%d heap/flow=%d B goodput=%.1f Mbps p99(write→acked)=%v allocs/pkt=%.2f peak goroutines=%d drops=%d",
+		res.flows, res.heapPerFlow, res.goodputMbps, res.p99AckLatency, res.allocsPerPkt, res.peakGoroutines, res.drops)
+	if res.p99AckLatency <= 0 {
+		t.Fatal("no latency samples recorded")
+	}
+	if res.heapPerFlow > 128<<10 {
+		t.Errorf("a default-Config flow holds %d B of live heap after a 1 KB push, budget 128 KiB", res.heapPerFlow)
 	}
 }
 

@@ -4,6 +4,134 @@ import (
 	"udt/internal/seqno"
 )
 
+// Capacity is not residency. A buffer's capacity — SndBuf/RcvBuf packets,
+// the paper's BDP-sized protocol buffer (§3.2) and the window the receiver
+// advertises — is a number; the memory behind it is allocated in chunks of
+// chunkSlots consecutive ring slots, the first time a slot in the chunk is
+// occupied, and handed on when its last occupied slot is freed. A slot is
+// still addressed by pure arithmetic on its sequence number (§4.6), one
+// shift and one table index more than a flat array.
+const (
+	chunkShift = 4
+	chunkSlots = 1 << chunkShift
+	chunkMask  = chunkSlots - 1
+)
+
+// chunk backs up to chunkSlots consecutive ring slots: their payload bytes
+// and the per-slot state either buffer keeps.
+type chunk struct {
+	// data holds the copied payloads, slot i at [i*payload, (i+1)*payload).
+	// It is allocated by the first copy into the chunk: packets placed in an
+	// attached user buffer and zero-copy writes never need it.
+	data []byte
+	// ext holds a SndBuffer's per-slot external payloads from zero-copy
+	// writes (WriteZC): a non-nil entry overrides the slot's copied data.
+	// The caller owns the backing memory (typically a file mapping) and must
+	// keep it valid until the slot is released; Release nils entries as
+	// acknowledgements free them. Allocated by the first WriteZC to reach
+	// the chunk — ordinary streams never pay for it.
+	ext     [][]byte
+	lens    [chunkSlots]int32
+	present [chunkSlots]bool // RcvBuffer: the slot's packet has arrived
+	inUser  [chunkSlots]bool // RcvBuffer: its payload sits in the attached user buffer
+	used    int              // occupied slots; the chunk is recycled when this returns to 0
+	next    *chunk           // spare-list link
+}
+
+// slotRing is the storage under both buffers: a logical ring of slots whose
+// chunks exist only while a slot in them is occupied. A chunk whose last
+// slot is freed goes on the spare list and backs the next chunk the ring
+// enters, so a steady flow — whatever its window — recycles the chunks it
+// has and allocates nothing. What is resident therefore follows what is in
+// flight, not how far the ring has walked. When the buffer runs empty the
+// spare list is cut to what the busy period just ended had live at once
+// (see drained): a flow that moves one packet at a time holds one chunk,
+// and an idle flow that has never carried data holds only the table.
+type slotRing struct {
+	payload int
+	slots   int      // ring size: the buffer's capacity in packets
+	tab     []*chunk // tab[i] backs ring slots [i<<chunkShift, (i+1)<<chunkShift), nil while all are free
+	spare   *chunk   // recycled chunks, linked through next
+	nspare  int
+	live    int // chunks installed in tab
+	peak    int // most chunks live at once since the buffer was last empty
+	keep    int // spares kept when it last ran empty
+}
+
+func newSlotRing(capacity, payload int) slotRing {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return slotRing{
+		payload: payload,
+		slots:   capacity,
+		tab:     make([]*chunk, (capacity+chunkMask)>>chunkShift),
+	}
+}
+
+// occupy returns the chunk behind ring slot idx, installing a spare or new
+// one if the ring has not been here since the chunk was last recycled, and
+// counts one more occupied slot in it.
+func (r *slotRing) occupy(idx int) *chunk {
+	c := r.tab[idx>>chunkShift]
+	if c == nil {
+		if c = r.spare; c != nil {
+			r.spare, c.next = c.next, nil
+			r.nspare--
+		} else {
+			c = new(chunk)
+		}
+		r.tab[idx>>chunkShift] = c
+		if r.live++; r.live > r.peak {
+			r.peak = r.live
+		}
+	}
+	c.used++
+	return c
+}
+
+// vacate counts n slots of the chunk behind ring slot idx as freed and
+// recycles the chunk with its last one.
+func (r *slotRing) vacate(idx int, c *chunk, n int) {
+	if c.used -= n; c.used == 0 {
+		r.tab[idx>>chunkShift] = nil
+		c.next, r.spare = r.spare, c
+		r.nspare++
+		r.live--
+	}
+}
+
+// drained is called when the last occupied slot of the whole buffer has been
+// freed, which a receive buffer with a prompt reader does after every read
+// batch: it keeps as many spares as the busy period just ended had chunks
+// live at once, so the next burst of that size allocates nothing, and lets
+// the allowance fall by one chunk per busy period rather than at once, so
+// bursts of varying size do not allocate on every upswing. The rest go to
+// the collector.
+func (r *slotRing) drained() {
+	r.keep = max(r.peak, r.keep-1)
+	r.peak = 0
+	for r.nspare > r.keep {
+		r.spare = r.spare.next
+		r.nspare--
+	}
+}
+
+// run is how many of the next left ring slots from idx lie in idx's chunk,
+// short of the ring's end: the stretch a walk can cover with one table load.
+func (r *slotRing) run(idx, left int) int {
+	return min(left, chunkSlots-idx&chunkMask, r.slots-idx)
+}
+
+// room returns the payload bytes of ring slot idx within its chunk c.
+func (r *slotRing) room(c *chunk, idx int) []byte {
+	if c.data == nil {
+		c.data = make([]byte, min(chunkSlots, r.slots)*r.payload)
+	}
+	off := (idx & chunkMask) * r.payload
+	return c.data[off : off+r.payload]
+}
+
 // SndBuffer holds written-but-unacknowledged payload, one fixed-size slot
 // per packet sequence number. The transport writes application data in,
 // reads packets out for (re)transmission by sequence number, and releases
@@ -11,45 +139,28 @@ import (
 //
 // SndBuffer is not safe for concurrent use.
 type SndBuffer struct {
-	payload int
-	data    []byte
-	lens    []int32
+	slotRing
 	headSeq int32 // sequence number of the oldest occupied slot
 	headIdx int   // its slot index
 	n       int   // occupied slots
-
-	// ext holds per-slot external payloads from zero-copy writes
-	// (WriteZC): a non-nil entry overrides the slot's copied data. The
-	// caller owns the backing memory (typically a file mapping) and must
-	// keep it valid until the slot is released; Release nils entries as
-	// acknowledgements free them. Allocated lazily — ordinary streams
-	// never pay for it.
-	ext [][]byte
 }
 
 // NewSndBuffer returns a send buffer of capacity packets whose payloads hold
 // up to payload bytes each. firstSeq is the sequence number the first
-// written packet will carry.
+// written packet will carry. Payload memory is allocated as packets are
+// written, not here.
 func NewSndBuffer(capacity, payload int, firstSeq int32) *SndBuffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SndBuffer{
-		payload: payload,
-		data:    make([]byte, capacity*payload),
-		lens:    make([]int32, capacity),
-		headSeq: firstSeq,
-	}
+	return &SndBuffer{slotRing: newSlotRing(capacity, payload), headSeq: firstSeq}
 }
 
 // Cap returns the buffer capacity in packets.
-func (b *SndBuffer) Cap() int { return len(b.lens) }
+func (b *SndBuffer) Cap() int { return b.slots }
 
 // Pending returns the number of occupied slots (unacknowledged packets).
 func (b *SndBuffer) Pending() int { return b.n }
 
 // Free returns the number of free slots.
-func (b *SndBuffer) Free() int { return len(b.lens) - b.n }
+func (b *SndBuffer) Free() int { return b.slots - b.n }
 
 // NextWriteSeq returns the sequence number the next written packet will get.
 func (b *SndBuffer) NextWriteSeq() int32 { return seqno.Add(b.headSeq, int32(b.n)) }
@@ -61,17 +172,15 @@ func (b *SndBuffer) NextWriteSeq() int32 { return seqno.Add(b.headSeq, int32(b.n
 // with a short last packet (§6).
 func (b *SndBuffer) Write(p []byte) int {
 	written := 0
-	for len(p) > 0 && b.n < len(b.lens) {
-		idx := (b.headIdx + b.n) % len(b.lens)
-		n := b.payload
-		if n > len(p) {
-			n = len(p)
+	for len(p) > 0 && b.n < b.slots {
+		idx := (b.headIdx + b.n) % b.slots
+		c, si := b.occupy(idx), idx&chunkMask
+		n := min(b.payload, len(p))
+		copy(b.room(c, idx), p[:n])
+		if c.ext != nil {
+			c.ext[si] = nil
 		}
-		copy(b.data[idx*b.payload:], p[:n])
-		if b.ext != nil {
-			b.ext[idx] = nil
-		}
-		b.lens[idx] = int32(n)
+		c.lens[si] = int32(n)
 		b.n++
 		p = p[n:]
 		written += n
@@ -87,18 +196,16 @@ func (b *SndBuffer) Write(p []byte) int {
 // so the wire stream is indistinguishable from a copied send. p must
 // stay valid and unmodified until every packet it backs is released.
 func (b *SndBuffer) WriteZC(p []byte) int {
-	if b.ext == nil {
-		b.ext = make([][]byte, len(b.lens))
-	}
 	written := 0
-	for len(p) > 0 && b.n < len(b.lens) {
-		idx := (b.headIdx + b.n) % len(b.lens)
-		n := b.payload
-		if n > len(p) {
-			n = len(p)
+	for len(p) > 0 && b.n < b.slots {
+		idx := (b.headIdx + b.n) % b.slots
+		c, si := b.occupy(idx), idx&chunkMask
+		if c.ext == nil {
+			c.ext = make([][]byte, chunkSlots)
 		}
-		b.ext[idx] = p[:n:n]
-		b.lens[idx] = int32(n)
+		n := min(b.payload, len(p))
+		c.ext[si] = p[:n:n]
+		c.lens[si] = int32(n)
 		b.n++
 		p = p[n:]
 		written += n
@@ -114,13 +221,14 @@ func (b *SndBuffer) Packet(seq int32) ([]byte, bool) {
 	if off < 0 || int(off) >= b.n {
 		return nil, false
 	}
-	idx := (b.headIdx + int(off)) % len(b.lens)
-	if b.ext != nil {
-		if e := b.ext[idx]; e != nil {
+	idx := (b.headIdx + int(off)) % b.slots
+	c, si := b.tab[idx>>chunkShift], idx&chunkMask
+	if c.ext != nil {
+		if e := c.ext[si]; e != nil {
 			return e, true
 		}
 	}
-	return b.data[idx*b.payload : idx*b.payload+int(b.lens[idx])], true
+	return b.room(c, idx)[:c.lens[si]], true
 }
 
 // Release frees every slot before seq (exclusive), returning the count.
@@ -129,18 +237,21 @@ func (b *SndBuffer) Release(seq int32) int {
 	if off <= 0 {
 		return 0
 	}
-	k := int(off)
-	if k > b.n {
-		k = b.n
-	}
-	if b.ext != nil {
-		for i := 0; i < k; i++ {
-			b.ext[(b.headIdx+i)%len(b.lens)] = nil
+	k := min(int(off), b.n)
+	for left := k; left > 0; {
+		idx, si := b.headIdx, b.headIdx&chunkMask
+		c, run := b.tab[idx>>chunkShift], b.run(idx, left)
+		if c.ext != nil {
+			clear(c.ext[si : si+run])
 		}
+		b.vacate(idx, c, run)
+		b.headIdx = (idx + run) % b.slots
+		left -= run
 	}
-	b.headIdx = (b.headIdx + k) % len(b.lens)
 	b.headSeq = seqno.Add(b.headSeq, int32(k))
-	b.n -= k
+	if b.n -= k; b.n == 0 {
+		b.drained()
+	}
 	return k
 }
 
@@ -159,11 +270,7 @@ func (b *SndBuffer) Release(seq int32) int {
 //
 // RcvBuffer is not safe for concurrent use; the transport serializes access.
 type RcvBuffer struct {
-	payload int
-	data    []byte
-	lens    []int32
-	present []bool
-	inUser  []bool
+	slotRing
 	baseSeq int32 // sequence number of the first undelivered packet
 	baseIdx int
 	headOff int32 // bytes of the head packet already consumed by the reader
@@ -181,39 +288,56 @@ type RcvBuffer struct {
 
 // NewRcvBuffer returns a receive buffer of capacity packet slots, each up to
 // payload bytes, expecting the first packet to carry sequence firstSeq.
+// Payload memory is allocated as packets arrive, not here; Free — the
+// advertised window — counts slots, so it starts at capacity regardless.
 func NewRcvBuffer(capacity, payload int, firstSeq int32) *RcvBuffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &RcvBuffer{
-		payload: payload,
-		data:    make([]byte, capacity*payload),
-		lens:    make([]int32, capacity),
-		present: make([]bool, capacity),
-		inUser:  make([]bool, capacity),
-		baseSeq: firstSeq,
-	}
+	return &RcvBuffer{slotRing: newSlotRing(capacity, payload), baseSeq: firstSeq}
 }
 
 // Cap returns the buffer capacity in packets.
-func (b *RcvBuffer) Cap() int { return len(b.lens) }
+func (b *RcvBuffer) Cap() int { return b.slots }
 
 // Free returns the free slot count — the flow-control advertisement (§3.2).
-func (b *RcvBuffer) Free() int32 { return int32(len(b.lens) - b.nstored) }
+func (b *RcvBuffer) Free() int32 { return int32(b.slots - b.nstored) }
 
-func (b *RcvBuffer) slot(off int32) int { return (b.baseIdx + int(off)) % len(b.lens) }
+// Beyond reports whether packet seq lies past the end of the buffer's
+// window, the Cap packets starting at the first undelivered one: Store would
+// refuse it.
+func (b *RcvBuffer) Beyond(seq int32) bool { return int(seqno.Off(b.baseSeq, seq)) >= b.slots }
+
+func (b *RcvBuffer) slot(off int32) int { return (b.baseIdx + int(off)) % b.slots }
+
+// stored returns the chunk and in-chunk index of ring slot idx if a packet
+// is present there, else a nil chunk.
+func (b *RcvBuffer) stored(idx int) (*chunk, int) {
+	c, si := b.tab[idx>>chunkShift], idx&chunkMask
+	if c == nil || !c.present[si] {
+		return nil, si
+	}
+	return c, si
+}
+
+// consume frees the present slot si of chunk c at ring slot idx.
+func (b *RcvBuffer) consume(idx int, c *chunk, si int) {
+	c.present[si], c.inUser[si] = false, false
+	b.vacate(idx, c, 1)
+	if b.nstored--; b.nstored == 0 {
+		b.drained()
+	}
+}
 
 // Store places the payload of packet seq, reporting false when the packet
 // is a duplicate or out of the buffer's window. The payload is copied.
 func (b *RcvBuffer) Store(seq int32, payload []byte) bool {
 	off := seqno.Off(b.baseSeq, seq)
-	if off < 0 || int(off) >= len(b.lens) {
+	if off < 0 || int(off) >= b.slots {
 		return false // already delivered, or beyond the window
 	}
 	idx := b.slot(off)
-	if b.present[idx] {
+	if c, _ := b.stored(idx); c != nil {
 		return false // duplicate
 	}
+	c, si := b.occupy(idx), idx&chunkMask
 	n := int32(len(payload))
 	if int(n) > b.payload {
 		n = int32(b.payload)
@@ -222,29 +346,43 @@ func (b *RcvBuffer) Store(seq int32, payload []byte) bool {
 	// buffer land there directly.
 	if b.user != nil && off < b.userPkts && int(n) == b.payload {
 		copy(b.user[int(off)*b.payload:], payload[:n])
-		b.inUser[idx] = true
+		c.inUser[si] = true
 		b.DirectBytes += int64(n)
 	} else {
-		copy(b.data[idx*b.payload:], payload[:n])
+		copy(b.room(c, idx), payload[:n])
 		b.CopiedBytes += int64(n)
 	}
-	b.lens[idx] = n
-	b.present[idx] = true
+	c.lens[si] = n
+	c.present[si] = true
 	b.nstored++
 	return true
 }
 
-// Available returns the number of in-order bytes ready for the reader.
+// Available returns the number of in-order bytes ready for the reader. It
+// walks the stored run a chunk at a time: the transport asks after every
+// arrival, and a reader that has fallen thousands of packets behind makes
+// that walk the receive path's largest cost.
 func (b *RcvBuffer) Available() int {
-	total := 0
-	for off := int32(0); int(off) < len(b.lens); off++ {
-		idx := b.slot(off)
-		if !b.present[idx] {
+	total := -int(b.headOff)
+	idx := b.baseIdx
+	for left := b.slots; left > 0; {
+		c, si := b.tab[idx>>chunkShift], idx&chunkMask
+		if c == nil {
 			break
 		}
-		total += int(b.lens[idx])
+		run := b.run(idx, left)
+		for i := si; i < si+run; i++ {
+			if !c.present[i] {
+				return total
+			}
+			total += int(c.lens[i])
+		}
+		left -= run
+		if idx += run; idx == b.slots {
+			idx = 0
+		}
 	}
-	return total - int(b.headOff)
+	return total
 }
 
 // AttachUser registers p as a logical extension of the protocol buffer
@@ -256,10 +394,7 @@ func (b *RcvBuffer) AttachUser(p []byte) bool {
 		return false
 	}
 	b.user = p
-	b.userPkts = int32(len(p) / b.payload)
-	if int(b.userPkts) > len(b.lens) {
-		b.userPkts = int32(len(b.lens))
-	}
+	b.userPkts = int32(min(len(p)/b.payload, b.slots))
 	return true
 }
 
@@ -277,21 +412,20 @@ func (b *RcvBuffer) DetachUser() int {
 	consumed := int32(0)
 	for consumed < b.userPkts {
 		idx := b.slot(consumed)
-		if !b.present[idx] || !b.inUser[idx] {
+		c, si := b.stored(idx)
+		if c == nil || !c.inUser[si] {
 			break
 		}
-		direct += int(b.lens[idx])
-		b.present[idx] = false
-		b.inUser[idx] = false
-		b.nstored--
+		direct += int(c.lens[si])
+		b.consume(idx, c, si)
 		consumed++
 	}
 	// Copy back any stranded user-placed packets beyond the hole.
 	for off := consumed; off < b.userPkts; off++ {
 		idx := b.slot(off)
-		if b.present[idx] && b.inUser[idx] {
-			copy(b.data[idx*b.payload:], b.user[int(off)*b.payload:int(off)*b.payload+int(b.lens[idx])])
-			b.inUser[idx] = false
+		if c, si := b.stored(idx); c != nil && c.inUser[si] {
+			copy(b.room(c, idx), b.user[int(off)*b.payload:int(off)*b.payload+int(c.lens[si])])
+			c.inUser[si] = false
 		}
 	}
 	b.baseIdx = b.slot(consumed)
@@ -307,15 +441,15 @@ func (b *RcvBuffer) Read(p []byte) int {
 	read := 0
 	for read < len(p) {
 		idx := b.baseIdx
-		if !b.present[idx] {
+		c, si := b.stored(idx)
+		if c == nil {
 			break
 		}
-		n := copy(p[read:], b.data[idx*b.payload+int(b.headOff):idx*b.payload+int(b.lens[idx])])
+		n := copy(p[read:], b.room(c, idx)[b.headOff:c.lens[si]])
 		read += n
 		b.headOff += int32(n)
-		if b.headOff == b.lens[idx] {
-			b.present[idx] = false
-			b.nstored--
+		if b.headOff == c.lens[si] {
+			b.consume(idx, c, si)
 			b.headOff = 0
 			b.baseIdx = b.slot(1)
 			b.baseSeq = seqno.Inc(b.baseSeq)

@@ -308,13 +308,6 @@ func TestPropSndRcvPipe(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestSndBufferWriteZC checks the zero-copy write path: packets alias the
 // caller's memory (no copy), chunking matches Write exactly, Release
 // drops the alias so the caller may unpin the backing memory, and mixed
@@ -344,9 +337,11 @@ func TestSndBufferWriteZC(t *testing.T) {
 	if k := b.Release(102); k != 2 {
 		t.Fatalf("Release = %d", k)
 	}
-	for i := range b.ext {
-		if b.ext[i] != nil {
-			t.Fatalf("ext slot %d still pins caller memory after release", i)
+	for _, c := range b.chunks() {
+		for i, e := range c.ext {
+			if e != nil {
+				t.Fatalf("ext slot %d still pins caller memory after release", i)
+			}
 		}
 	}
 	// A copied write reusing the same slots must not resurface external
@@ -380,6 +375,20 @@ func TestSndBufferWriteZCInterleaved(t *testing.T) {
 	}
 }
 
+// chunks lists every chunk the ring holds, occupied and spare.
+func (r *slotRing) chunks() []*chunk {
+	var out []*chunk
+	for _, c := range r.tab {
+		if c != nil {
+			out = append(out, c)
+		}
+	}
+	for c := r.spare; c != nil; c = c.next {
+		out = append(out, c)
+	}
+	return out
+}
+
 // The model-based tests below drive each buffer and a deliberately naive
 // reference model through the same seeded random operation sequence and
 // compare every observable after every operation. The models hold one
@@ -394,6 +403,63 @@ var modelCaps = []int{1, 3, 16, 17, 32, 8192}
 // modelPayload is deliberately odd so stride arithmetic cannot hide behind
 // alignment.
 const modelPayload = 7
+
+// residency is the model's side of the storage rule (buffer.go, "capacity
+// is not residency"): how many chunks a buffer may hold given only what has
+// been in flight, in slots. inflight is the span of ring slots in use — the
+// unacknowledged packets of a SndBuffer, base to highest stored packet in a
+// RcvBuffer.
+type residency struct {
+	capacity int
+	period   int // most slots in flight since the buffer was last empty
+	keep     int // chunks it may keep while empty
+}
+
+// chunksFor is the most chunks n consecutive ring slots can touch: a run
+// may straddle one chunk edge more than its length needs, and one more
+// where the ring wraps through a ragged last chunk.
+func (r *residency) chunksFor(n int) int {
+	if n == 0 {
+		return 0
+	}
+	c := (n-1+chunkMask)>>chunkShift + 1
+	if r.capacity&chunkMask != 0 {
+		c++
+	}
+	return min(c, (r.capacity+chunkMask)>>chunkShift)
+}
+
+// check asserts the rule after one operation: live chunks cover no more
+// than what is in flight now; live plus spare chunks no more than the
+// high-water mark of the current busy period (or what the buffer was
+// allowed to keep when it last ran empty); an empty buffer holds no live
+// chunk, and no more spares than the busy period that just ended needed —
+// an allowance that then falls by a chunk per busy period, so a flow that
+// settles to one packet at a time settles to one spare.
+func (r *residency) check(t *testing.T, ring *slotRing, inflight int) {
+	t.Helper()
+	live := 0
+	for _, c := range ring.tab {
+		if c != nil {
+			live++
+		}
+	}
+	if inflight == 0 && r.period > 0 { // the buffer just drained
+		r.keep = max(r.chunksFor(r.period), r.keep-1)
+		r.period = 0
+	}
+	r.period = max(r.period, inflight)
+	if live > r.chunksFor(inflight) {
+		t.Fatalf("%d chunks live with %d slots in flight, want ≤ %d", live, inflight, r.chunksFor(inflight))
+	}
+	if bound := max(r.keep, r.chunksFor(r.period)); live+ring.nspare > bound {
+		t.Fatalf("%d chunks resident (%d live, %d spare), want ≤ %d (busy-period high water %d slots, allowance %d)",
+			live+ring.nspare, live, ring.nspare, bound, r.period, r.keep)
+	}
+	if got := len(ring.chunks()); got != live+ring.nspare {
+		t.Fatalf("spare list holds %d chunks, counter says %d", got-live, ring.nspare)
+	}
+}
 
 // sndModel is the reference SndBuffer: the unacknowledged packets, oldest
 // first. A zero-copy packet aliases the caller's memory, exactly as the
@@ -483,6 +549,8 @@ func TestSndBufferModel(t *testing.T) {
 			first := seqno.Add(seqno.Max, -int32(rng.Intn(2*capacity+3)))
 			b := NewSndBuffer(capacity, modelPayload, first)
 			m := &sndModel{capacity: capacity, head: first}
+			res := &residency{capacity: capacity}
+			res.check(t, &b.slotRing, 0) // nothing written, nothing resident
 			sweep := 64
 			if capacity > 64 {
 				sweep = 512
@@ -569,6 +637,7 @@ func TestSndBufferModel(t *testing.T) {
 				if i := len(m.pkts) - 1; i >= 0 {
 					m.check(t, b, i, i+1) // the tail, whatever the op was
 				}
+				res.check(t, &b.slotRing, len(m.pkts))
 			}
 			// Drain: every packet still queued must come out intact.
 			m.check(t, b, 0, len(m.pkts))
@@ -594,10 +663,14 @@ type rcvModel struct {
 	userPkts int
 	direct   int64
 	copied   int64
+	res      residency
 }
 
 func newRcvModel(capacity int, first int32) *rcvModel {
-	return &rcvModel{capacity: capacity, base: first, win: make([][]byte, capacity), inUser: make([]bool, capacity)}
+	return &rcvModel{
+		capacity: capacity, base: first, win: make([][]byte, capacity), inUser: make([]bool, capacity),
+		res: residency{capacity: capacity},
+	}
 }
 
 func (m *rcvModel) store(seq int32, p []byte) bool {
@@ -693,8 +766,19 @@ func (m *rcvModel) firstHole() int {
 	return m.capacity
 }
 
+// span is how far the stored packets reach from the base, in slots.
+func (m *rcvModel) span() int {
+	for i := m.capacity; i > 0; i-- {
+		if m.win[i-1] != nil {
+			return i
+		}
+	}
+	return 0
+}
+
 func (m *rcvModel) check(t *testing.T, b *RcvBuffer) {
 	t.Helper()
+	m.res.check(t, &b.slotRing, m.span())
 	if b.Cap() != m.capacity || int(b.Free()) != m.capacity-m.nstored {
 		t.Fatalf("cap/free = %d/%d, model %d/%d", b.Cap(), b.Free(), m.capacity, m.capacity-m.nstored)
 	}
@@ -721,6 +805,7 @@ func TestRcvBufferModel(t *testing.T) {
 			first := seqno.Add(seqno.Max, -int32(rng.Intn(2*capacity+3)))
 			b := NewRcvBuffer(capacity, modelPayload, first)
 			m := newRcvModel(capacity, first)
+			m.check(t, b) // nothing stored, nothing resident
 			var user []byte
 			store := func(op int, off int) {
 				var n int
@@ -733,6 +818,9 @@ func TestRcvBufferModel(t *testing.T) {
 					n = modelPayload
 				}
 				seq, p := seqno.Add(m.base, int32(off)), modelBytes(rng, n)
+				if b.Beyond(seq) != (off >= capacity) {
+					t.Fatalf("cap %d seed %d op %d: Beyond(base%+d) = %v", capacity, seed, op, off, b.Beyond(seq))
+				}
 				got := b.Store(seq, p)
 				if want := m.store(seq, p); got != want {
 					t.Fatalf("cap %d seed %d op %d: Store(base%+d, %d bytes) = %v, model %v", capacity, seed, op, off, n, got, want)

@@ -167,13 +167,10 @@ type Conn struct {
 // cfg.ISN and whose peer's stream starts at peerISN (from the handshake).
 func NewConn(cfg Config, peerISN int32) *Conn {
 	cfg.fill()
-	// The receiver loss list grows on demand, so it starts small even for
-	// huge windows (a 400-flow simulation would otherwise pre-allocate
-	// hundreds of megabytes of slots).
-	lossCap := int(cfg.MaxFlowWindow) * 2
-	if lossCap > 4096 {
-		lossCap = 4096
-	}
+	// The receiver loss list grows on demand (losslist.Receiver.grow
+	// re-inserts every node, so its size never shows in what it reports):
+	// it starts at rcvLossSlots whatever the window, and only a flow that
+	// actually loses packets across a wider span pays for more.
 	var ctrl congestion.Controller
 	if cfg.CC != nil {
 		ctrl = cfg.CC()
@@ -185,7 +182,7 @@ func NewConn(cfg Config, peerISN int32) *Conn {
 		cfg:        cfg,
 		cc:         ctrl,
 		sndLoss:    losslist.NewSender(),
-		rcvLoss:    losslist.NewReceiver(lossCap),
+		rcvLoss:    losslist.NewReceiver(rcvLossSlots),
 		curSeq:     seqno.Dec(cfg.ISN),
 		sndLastAck: cfg.ISN,
 		peerWindow: slowStartCwnd,
@@ -203,12 +200,16 @@ func NewConn(cfg Config, peerISN int32) *Conn {
 	return c
 }
 
-// ackWindowSize scales the ACK↔ACK2 matching history with the receive
+// rcvLossSlots is the receiver loss list's initial slot count (28 B each).
+const rcvLossSlots = 64
+
+// ackWindowSize bounds the ACK↔ACK2 matching history by the receive
 // buffer: outstanding ACK records are bounded by how much the peer can
-// have in flight, so a small-buffer flow (100k-flow deployments shrink
-// buffers to fit) doesn't pay the reference implementation's fixed 1024
-// entries (~16 KB per connection). Default-sized flows keep exactly the
-// UDT constant.
+// have in flight, so a small-buffer flow forgets old ACKs as early as it
+// always did, and default-sized flows keep exactly the UDT constant of
+// 1024 entries. It is a limit, not a size: flow.AckWindow holds nothing
+// until the first ACK is sent and grows with the ACKs actually outstanding
+// (16 B each, ~16 KB at the limit).
 func ackWindowSize(recvBufPkts int32) int {
 	n := int(recvBufPkts)
 	if n > 1024 {

@@ -290,10 +290,16 @@ func (e *Endpoint) Decode(raw []byte) (in Inbound, ok bool) {
 // control emissions but does not drain them.
 func (e *Endpoint) Dispatch(in *Inbound, now int64) (ev Event) {
 	if in.n > 0 {
-		// A full receive buffer means flow control was overrun (or the
-		// reader is stuck): treat the packet as lost on the wire; the
-		// protocol will retransmit it once space reopens (§3.2).
-		if e.Rcv.Free() == 0 {
+		// A packet the receive buffer has no slot for — it is full, or the
+		// packet lies past the end of its window — means flow control was
+		// overrun (or the reader is stuck): treat it as lost on the wire,
+		// before the engine counts it; the protocol will retransmit it once
+		// space reopens (§3.2). An honest peer overruns by one: a light ACK
+		// goes out from inside HandleData, before the packet that triggered
+		// it is stored, so it advertises one slot more than is free. Were
+		// the engine to take such a packet it would acknowledge bytes the
+		// reader can never get, and the stream would stall for good.
+		if e.Rcv.Free() == 0 || e.Rcv.Beyond(in.data.Seq) {
 			return EvDropped
 		}
 		var fresh bool

@@ -133,6 +133,18 @@ func TestEndpointDispatch(t *testing.T) {
 					t.Fatalf("engine saw the overrun packet: recv=%d lrsn=%d", e.Eng.Stats.PktsRecv, e.Eng.LRSN())
 				}
 			}},
+		// One slot is still free — the head packet is missing — but the
+		// arrival lies past the two-packet window: the engine must not count
+		// (and later acknowledge) a packet the buffer cannot hold.
+		{name: "data beyond receive window",
+			prep: func(p *probe) { deliver(p, p.seal(data(peerISN+1))) },
+			raw:  func(p *probe) []byte { return p.seal(data(peerISN + 2)) },
+			want: EvDropped,
+			check: func(t *testing.T, e *Endpoint) {
+				if e.Eng.Stats.PktsRecv != 1 || e.Eng.LRSN() != peerISN+1 || e.Rcv.Free() != 1 {
+					t.Fatalf("engine saw the overrun packet: recv=%d lrsn=%d free=%d", e.Eng.Stats.PktsRecv, e.Eng.LRSN(), e.Rcv.Free())
+				}
+			}},
 		{name: "ack", prep: sendOne,
 			raw:  func(p *probe) []byte { return p.seal(ack()) },
 			want: EvAcked,

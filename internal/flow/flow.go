@@ -195,35 +195,49 @@ func (w *ProbeWindow) Capacity() int32 {
 }
 
 // AckWindow remembers recently sent ACKs so that the matching ACK2 yields an
-// RTT sample and identifies the acknowledged sequence number.
+// RTT sample and identifies the acknowledged sequence number. It holds up to
+// its limit of records, overwriting the oldest beyond that, but only the
+// storage the outstanding ACKs have needed so far: nothing before the first
+// Store, then doubling toward the limit whenever every held record is still
+// unacknowledged.
 type AckWindow struct {
-	ids  []int32
-	seqs []int32
-	ts   []int64
-	pos  int
-	size int
+	recs  []ackRecord // ring; grows until len(recs) == limit
+	limit int
+	pos   int // slot the next Store fills
+	size  int // unacknowledged records held, ending just before pos
 }
 
-// NewAckWindow returns an ACK history of n entries (UDT uses 1024).
+type ackRecord struct {
+	id, seq int32
+	ts      int64
+}
+
+// ackWindowFirst is the history's first allocation, in records: at one ACK
+// per SYN it covers a 160 ms round trip.
+const ackWindowFirst = 16
+
+// NewAckWindow returns an ACK history of at most n entries (UDT uses 1024).
 func NewAckWindow(n int) *AckWindow {
 	if n < 1 {
 		n = 1
 	}
-	return &AckWindow{
-		ids:  make([]int32, n),
-		seqs: make([]int32, n),
-		ts:   make([]int64, n),
-	}
+	return &AckWindow{limit: n}
 }
 
 // Store records that an ACK with identifier ackID acknowledging seq was sent
 // at time now.
 func (w *AckWindow) Store(ackID, seq int32, now int64) {
-	w.ids[w.pos] = ackID
-	w.seqs[w.pos] = seq
-	w.ts[w.pos] = now
-	w.pos = (w.pos + 1) % len(w.ids)
-	if w.size < len(w.ids) {
+	if w.size == len(w.recs) && len(w.recs) < w.limit {
+		// Full of live records and below the limit: grow instead of
+		// overwriting, laying the records out oldest first.
+		grown := make([]ackRecord, min(w.limit, max(ackWindowFirst, 2*len(w.recs))))
+		n := copy(grown, w.recs[w.pos:])
+		copy(grown[n:], w.recs[:w.pos])
+		w.recs, w.pos = grown, w.size
+	}
+	w.recs[w.pos] = ackRecord{id: ackID, seq: seq, ts: now}
+	w.pos = (w.pos + 1) % len(w.recs)
+	if w.size < len(w.recs) {
 		w.size++
 	}
 }
@@ -236,14 +250,14 @@ func (w *AckWindow) Acknowledge(ackID int32, now int64) (seq int32, rtt int64, o
 	for i := 0; i < w.size; i++ {
 		p := w.pos - 1 - i
 		if p < 0 {
-			p += len(w.ids)
+			p += len(w.recs)
 		}
-		if w.ids[p] == ackID {
-			rtt = now - w.ts[p]
+		if r := &w.recs[p]; r.id == ackID {
+			rtt = now - r.ts
 			if rtt < 1 {
 				rtt = 1
 			}
-			seq = w.seqs[p]
+			seq = r.seq
 			// Invalidate this and older entries cheaply by shrinking size.
 			w.size = i
 			if w.size < 0 {

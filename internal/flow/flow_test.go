@@ -251,3 +251,51 @@ func TestPropArrivalRatePositive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAckWindowGrowsLikeFixed drives an AckWindow — which holds nothing
+// until the first Store and doubles toward its limit only while every held
+// record is unacknowledged — beside the plain list it must be
+// indistinguishable from: the last `limit` stored ACKs, cut back to those
+// newer than the last match. Bursts of unanswered ACKs push it through
+// every doubling and past the limit; answers arrive for fresh, stale,
+// rotated-out and never-sent identifiers.
+func TestAckWindowGrowsLikeFixed(t *testing.T) {
+	type rec struct {
+		id, seq int32
+		ts      int64
+	}
+	for _, limit := range []int{1, 5, 16, 64, 1024} {
+		rng := rand.New(rand.NewSource(int64(limit)))
+		w := NewAckWindow(limit)
+		var live []rec // oldest first
+		id, now := int32(0), int64(0)
+		for op := 0; op < 20000; op++ {
+			now += int64(rng.Intn(500))
+			if rng.Intn(100) < 70 || (op/2000)%2 == 0 && rng.Intn(100) < 95 { // alternate droughts of answers
+				id++
+				r := rec{id: id, seq: id * 3, ts: now}
+				w.Store(r.id, r.seq, r.ts)
+				if live = append(live, r); len(live) > limit {
+					live = live[1:]
+				}
+				continue
+			}
+			ask := id - int32(rng.Intn(limit+10)) + 2 // mostly recent, sometimes rotated out or not yet sent
+			wantSeq, wantRTT, wantOK := int32(0), int64(0), false
+			for i := len(live) - 1; i >= 0; i-- {
+				if live[i].id == ask {
+					wantSeq, wantRTT, wantOK = live[i].seq, max(now-live[i].ts, 1), true
+					live = live[i+1:]
+					break
+				}
+			}
+			seq, rtt, ok := w.Acknowledge(ask, now)
+			if seq != wantSeq || rtt != wantRTT || ok != wantOK {
+				t.Fatalf("limit %d op %d: Acknowledge(%d) = %d,%d,%v; want %d,%d,%v", limit, op, ask, seq, rtt, ok, wantSeq, wantRTT, wantOK)
+			}
+		}
+		if len(w.recs) > limit {
+			t.Fatalf("limit %d: history grew to %d records", limit, len(w.recs))
+		}
+	}
+}

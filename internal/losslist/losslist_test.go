@@ -2,6 +2,7 @@ package losslist
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -590,5 +591,68 @@ func TestReceiverStormNoCycle(t *testing.T) {
 	}
 	if r.Len() != len(tracked) {
 		t.Fatalf("Len=%d, tracked=%d", r.Len(), len(tracked))
+	}
+}
+
+// TestReceiverGrownMatchesPresized pins what lets core.NewConn start every
+// receiver loss list small: a list started at 64 slots and grown on demand
+// through 4096 is indistinguishable, by anything it reports, from one sized
+// 4096 up front. Both see one seeded sequence of loss detections,
+// retransmission arrivals, ACK-position sweeps and NAK reports, with the
+// tracked span held just under 4096 so only the small list ever grows.
+func TestReceiverGrownMatchesPresized(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	small, big := NewReceiver(64), NewReceiver(4096)
+	next := seqno.Max - 5000 // wraps mid-run
+	var tracked []int32
+	now := int64(0)
+	same := func(op int, what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("op %d: %s differs: grown %v, presized %v", op, what, a, b)
+		}
+	}
+	for op := 0; op < 20000; op++ {
+		now += int64(rng.Intn(3000))
+		switch r := rng.Intn(10); {
+		case r < 4 || len(tracked) == 0:
+			s := seqno.Add(next, int32(rng.Intn(80)+1))
+			e := seqno.Add(s, int32(rng.Intn(40)))
+			next = seqno.Inc(e)
+			// Hold the tracked span under the presized capacity, the way the
+			// ACK position overtakes stale losses in the engine.
+			floor := seqno.Add(next, -4000)
+			same(op, "RemoveUpTo", small.RemoveUpTo(floor), big.RemoveUpTo(floor))
+			small.Insert(s, e)
+			big.Insert(s, e)
+			for q := s; ; q = seqno.Inc(q) {
+				tracked = append(tracked, q)
+				if q == e {
+					break
+				}
+			}
+		case r < 8:
+			i := rng.Intn(len(tracked))
+			seq := tracked[i]
+			tracked[i] = tracked[len(tracked)-1]
+			tracked = tracked[:len(tracked)-1]
+			same(op, "Remove", small.Remove(seq), big.Remove(seq))
+		default:
+			limit := rng.Intn(3) * 16 // 0 is no limit
+			same(op, "Report", small.Report(now, 20_000, limit), big.Report(now, 20_000, limit))
+		}
+		sf, sok := small.First()
+		bf, bok := big.First()
+		same(op, "First", []any{sf, sok}, []any{bf, bok})
+		same(op, "Len", small.Len(), big.Len())
+		same(op, "Events", small.Events(), big.Events())
+		if op%64 == 0 {
+			same(op, "Ranges", small.Ranges(), big.Ranges())
+		}
+	}
+	same(-1, "Ranges", small.Ranges(), big.Ranges())
+	if len(small.start) != 4096 || len(big.start) != 4096 {
+		t.Fatalf("slot counts %d and %d: the small list was meant to grow through 4096 and the presized one to stay there",
+			len(small.start), len(big.start))
 	}
 }

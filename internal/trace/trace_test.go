@@ -260,3 +260,38 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("body = %s", body)
 	}
 }
+
+// TestRingGrowsThenWraps walks a ring through every doubling of its storage
+// and then several laps past its capacity: at each step Snapshot, Do, Last,
+// Len, Total and Cap must be those of a ring that had its full capacity from
+// the start — the configured capacity, not what is resident.
+func TestRingGrowsThenWraps(t *testing.T) {
+	for _, limit := range []int{1, 7, 8, 9, 100, 512} {
+		g := NewRing(limit)
+		for i := 0; i < 3*limit+5; i++ {
+			r := sample(i)
+			g.Record(&r)
+			n := min(i+1, limit)
+			if g.Cap() != limit || g.Len() != n || g.Total() != int64(i+1) {
+				t.Fatalf("limit %d after %d records: cap=%d len=%d total=%d", limit, i+1, g.Cap(), g.Len(), g.Total())
+			}
+			if len(g.buf) > limit {
+				t.Fatalf("limit %d: storage grew to %d records", limit, len(g.buf))
+			}
+			snap := g.Snapshot()
+			var do []int32
+			g.Do(func(r *PerfRecord) { do = append(do, r.Flow) })
+			if len(snap) != n || len(do) != n {
+				t.Fatalf("limit %d after %d records: snapshot %d, Do %d, want %d", limit, i+1, len(snap), len(do), n)
+			}
+			for k := range snap {
+				if want := int32(i + 1 - n + k); snap[k].Flow != want || do[k] != want {
+					t.Fatalf("limit %d after %d records: position %d holds %d (Do: %d), want %d", limit, i+1, k, snap[k].Flow, do[k], want)
+				}
+			}
+			if last, ok := g.Last(); !ok || last.Flow != int32(i) {
+				t.Fatalf("limit %d after %d records: Last = %d,%v", limit, i+1, last.Flow, ok)
+			}
+		}
+	}
+}

@@ -144,6 +144,36 @@ type poolShard struct {
 	stopped bool // worker has exited its loop
 
 	kick chan struct{} // buffered 1: wakes a parked worker
+
+	// burst is the data-burst encode arena of whichever connection the
+	// worker is servicing; only the worker touches it.
+	burst burstArena
+}
+
+// burstArena is where one sender service encodes the data burst it claimed
+// (core.Endpoint.ClaimBurst's layout) and assembles the datagram list it
+// hands the socket.
+type burstArena struct {
+	scratch []byte
+	lens    []int
+	bufs    [][]byte
+}
+
+// arena returns the shard's burst arena with room for n datagrams of stride
+// bytes. It grows to the largest burst any resident flow has claimed and
+// then allocates nothing. Only runTask, on the shard's worker, may call it,
+// and the arena is that service's until it returns.
+func (s *poolShard) arena(n, stride int) *burstArena {
+	a := &s.burst
+	if len(a.scratch) < n*stride {
+		a.scratch = make([]byte, n*stride)
+	}
+	if cap(a.lens) < n {
+		a.lens = make([]int, n)
+		a.bufs = make([][]byte, 0, n)
+	}
+	a.lens = a.lens[:n] // ClaimBurst claims up to len(lens) packets
+	return a
 }
 
 // notify wakes the worker if it is parked; a no-op if a wake is already

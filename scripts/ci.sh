@@ -17,6 +17,12 @@ echo "root package non-test Go lines: $(ls *.go | grep -v _test | xargs wc -l | 
 # virtual-clock drivers), and the whole tree outside the frozen benchmark.
 echo "chaos + campaign non-test Go lines: $(ls internal/netem/chaos/*.go internal/campaign/*.go | grep -v _test | xargs wc -l | tail -1)"
 echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs wc -l | tail -1)"
+# So is what a connection costs: the three memory budget tests run by name —
+# bytes allocated per dial+echo+close, live heap per idle flow, and heap
+# growth over 100 000 request/response exchanges — and their figures are
+# printed beside the line counts.
+budget=$(go test -run 'TestConnLifecycleBytes|TestIdleFlowHoldsNoPayload|TestRequestResponseResidency' -count=1 -v .)
+echo "$budget" | grep -E 'bytes/conn=|heap/flow=|heap before='
 # Cross-compile gates: the Linux offload fast path (GSO/GRO, SO_REUSEPORT
 # groups, mmap sendfile) must keep the portable stubs compiling on
 # platforms that lack it.
@@ -63,3 +69,10 @@ go run ./cmd/udtchaos -ccmatrix -determinism
 # bit-identically. Their stability across commits is TestCISetDigestsPinned
 # (internal/campaign), already run by `go test` above.
 go run ./cmd/udtchaos -campaign -determinism
+# Benchmark smoke: all five workloads of bench/run.sh on 2-second windows
+# must finish inside two minutes, each reporting "correct":true. The full
+# benchmark is the driver's job; this is here because a workload that stops
+# making progress does not fail, it hangs, and should cost CI two minutes
+# rather than the pipeline's timeout.
+smoke=$(timeout 120 bash bench/run.sh --seconds 2)
+test "$(echo "$smoke" | grep -c '"correct":true')" -eq 5
