@@ -12,6 +12,7 @@ import (
 
 	"udt/fabric"
 	"udt/internal/core"
+	"udt/internal/mux"
 	"udt/internal/packet"
 	"udt/internal/secure"
 	"udt/internal/seqno"
@@ -27,8 +28,6 @@ func (d *discardSock) writeTo(b []byte, _ net.Addr) (int, error) {
 	d.writes++
 	return len(b), nil
 }
-
-func (d *discardSock) headroom() int { return 0 }
 
 // gsoDiscardSock upgrades discardSock with the batch and segment-train
 // interfaces, so the alloc gates cover the GSO pack-and-submit path
@@ -126,7 +125,7 @@ func TestSenderPathAllocs(t *testing.T) {
 				sock := &discardSock{}
 				c := newSendPathConn(sock, true, cc, sess)
 				var batch core.SendBatch
-				scratch := make([]byte, c.burst*(c.hr+c.cfg.MSS))
+				scratch := make([]byte, c.burst*(mux.DestPrefix+c.cfg.MSS))
 				lens := make([]int, c.burst)
 				burst := make([][]byte, 0, c.burst)
 				payload := c.cfg.MSS - packet.DataHeaderSize
@@ -234,13 +233,13 @@ func TestSecureRecvPathAllocs(t *testing.T) {
 func TestGSOPackAllocs(t *testing.T) {
 	sock := &gsoDiscardSock{}
 	c := newSendPathConn(sock, false, nil, nil)
-	stride := c.hr + c.cfg.MSS
+	stride := mux.DestPrefix + c.cfg.MSS
 	scratch := make([]byte, c.burst*stride)
 	lens := make([]int, c.burst)
 	burst := make([][]byte, 0, c.burst)
 	payload := make([]byte, c.cfg.MSS-packet.DataHeaderSize)
 	for i := 0; i < c.burst; i++ {
-		m, err := packet.EncodeData(scratch[i*stride+c.hr:(i+1)*stride], &packet.Data{Seq: int32(i), Payload: payload})
+		m, err := packet.EncodeData(scratch[i*stride+mux.DestPrefix:(i+1)*stride], &packet.Data{Seq: int32(i), Payload: payload})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +279,7 @@ func benchmarkSenderPacket(b *testing.B, traced bool) {
 	sock := &discardSock{}
 	c := newSendPathConn(sock, traced, nil, nil)
 	var batch core.SendBatch
-	scratch := make([]byte, c.burst*(c.hr+c.cfg.MSS))
+	scratch := make([]byte, c.burst*(mux.DestPrefix+c.cfg.MSS))
 	lens := make([]int, c.burst)
 	burst := make([][]byte, 0, c.burst)
 	data := make([]byte, c.cfg.MSS-packet.DataHeaderSize)
@@ -316,6 +315,7 @@ func TestDrainOutboxSizing(t *testing.T) {
 		t.Fatal("no control emissions drained")
 	}
 	for _, m := range batch.Msgs {
+		m = m[mux.DestPrefix:] // the flow's to stamp
 		if !packet.IsControl(m) {
 			t.Fatalf("drained message is not a control packet: % x", m)
 		}

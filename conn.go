@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"udt/internal/core"
+	"udt/internal/mux"
 	"udt/internal/secure"
 	"udt/internal/timing"
 	"udt/internal/trace"
@@ -31,14 +32,12 @@ var (
 // production that is always a muxFlow — a seat on a Mux's socket, shared
 // or private; the interface is the seam where tests substitute fakes.
 //
-// headroom is the number of bytes the transport needs reserved at the
-// front of every datagram buffer, ahead of the encoded UDT packet — a
-// multiplexed flow stamps the peer's destination socket ID there. The
-// connection reserves it when sizing and encoding, and passes the whole
-// buffer (headroom included) to writeTo.
+// The first mux.DestPrefix bytes of every datagram buffer, ahead of the
+// encoded UDT packet, belong to the transport: the flow stamps the peer's
+// destination socket ID there. The connection reserves them when sizing
+// and encoding, and passes the whole buffer (prefix included) to writeTo.
 type sockWriter interface {
 	writeTo(b []byte, addr net.Addr) (int, error)
-	headroom() int
 }
 
 // batchWriter is an optional sockWriter upgrade: transports that can
@@ -58,7 +57,6 @@ type Conn struct {
 	sock   sockWriter
 	bw     batchWriter // non-nil when sock supports batched sends
 	sw     segWriter   // non-nil when sock supports GSO segment trains
-	hr     int         // sock.headroom(), cached: bytes reserved per datagram
 	burst  int         // data packets one sender-lock acquisition may claim
 	closer func()      // tears down socket/listener registration
 
@@ -142,16 +140,15 @@ func newConn(cfg Config, sock sockWriter, closer func(), laddr, raddr net.Addr, 
 		ledger: cfg.Ledger,
 		closed: make(chan struct{}),
 	}
-	c.hr = sock.headroom()
 	c.bw, _ = sock.(batchWriter)
 	c.sw, _ = sock.(segWriter)
-	c.burst = burstSize(cfg.BatchSize, c.hr+cfg.MSS)
+	c.burst = burstSize(cfg.BatchSize, mux.DestPrefix+cfg.MSS)
 	c.ep = core.NewEndpoint(core.EndpointConfig{
 		Engine:     cfg.coreConfig(isn),
 		PeerISN:    peerISN,
 		SndBufPkts: cfg.SndBuf,
 		RcvBufPkts: cfg.RcvBuf,
-		Headroom:   c.hr,
+		Headroom:   mux.DestPrefix,
 		Sec:        sec,
 		Ledger:     cfg.Ledger,
 	})
@@ -478,7 +475,7 @@ func (c *Conn) runTask() (int64, bool) {
 	c.sending = c.sending || c.ep.Snd.Pending() > 0
 	var arena *burstArena
 	if c.sending {
-		arena = c.shard.arena(c.burst, c.hr+c.cfg.MSS)
+		arena = c.shard.arena(c.burst, mux.DestPrefix+c.cfg.MSS)
 		nData, wake, decision = c.ep.ClaimBurst(now, c.sendCost, arena.scratch, arena.lens)
 	} else {
 		wake = c.ep.Eng.NextWake()
@@ -530,7 +527,7 @@ func (c *Conn) runTask() (int64, bool) {
 // descending preference:
 //
 //  1. GSO: a run of full-size packets (every wire datagram but the last
-//     exactly headroom+MSS) goes out as ONE sendmsg carrying a
+//     exactly prefix+MSS) goes out as ONE sendmsg carrying a
 //     UDP_SEGMENT train the kernel segments — the §4.1 per-packet cost
 //     amortized over up to 44 packets;
 //  2. sendmmsg: one syscall submitting the burst as separate datagrams;
@@ -539,11 +536,11 @@ func (c *Conn) runTask() (int64, bool) {
 // burstBufs is the caller's reusable slice for assembling the datagram
 // list. Returns the payload bytes handed to the socket.
 func (c *Conn) sendDataBurst(scratch []byte, lens []int, n int, burstBufs *[][]byte) (int, error) {
-	stride := c.hr + c.cfg.MSS
+	stride := mux.DestPrefix + c.cfg.MSS
 	sent := 0
 	bufs := (*burstBufs)[:0]
 	for i := 0; i < n; i++ {
-		bufs = append(bufs, scratch[i*stride:i*stride+c.hr+lens[i]])
+		bufs = append(bufs, scratch[i*stride:i*stride+mux.DestPrefix+lens[i]])
 		sent += lens[i]
 	}
 	*burstBufs = bufs
@@ -579,7 +576,7 @@ func (c *Conn) sendDataBurst(scratch []byte, lens []int, n int, burstBufs *[][]b
 	}
 	sent = 0
 	for i := 0; i < n; i++ {
-		if _, err := c.sockWrite(scratch[i*stride : i*stride+c.hr+lens[i]]); err != nil {
+		if _, err := c.sockWrite(scratch[i*stride : i*stride+mux.DestPrefix+lens[i]]); err != nil {
 			return sent, err
 		}
 		sent += lens[i]

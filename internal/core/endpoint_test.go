@@ -59,7 +59,7 @@ func TestEndpointDispatch(t *testing.T) {
 	}
 	handshake := func() []byte {
 		b := buf()
-		n, err := packet.EncodeHandshake(b, &packet.Handshake{Version: packet.Version, InitSeq: peerISN, MSS: 576, FlowWindow: 16, ReqType: -1}, 0)
+		n, err := packet.EncodeHandshake(b, &packet.Handshake{Version: packet.Version, InitSeq: peerISN, MSS: 576, FlowWindow: 16, ReqType: packet.HSResponse, SockID: -0x7ff70000, PeerSockID: -0x7ff6ffff}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,37 +3,40 @@
 // The paper's engine assumes one UDP socket per flow; later UDT versions
 // (and QUIC) multiplex flows over a shared socket by carrying a destination
 // socket ID in every packet. This package is the demultiplexing core of
-// that design, kept compatible with the paper-era wire format: between two
-// multiplexing endpoints every datagram is prefixed with a 4-byte
-// big-endian destination socket ID ahead of the unchanged UDT packet, and
-// the prefix is only used after both sides have advertised a socket ID in
-// the extended handshake (packet.Handshake.SockID). An old peer never sees
-// or sends the prefix; its bare datagrams fall back to per-peer-address
-// demultiplexing.
+// that design: every data and control datagram of an established flow is
+// prefixed with a 4-byte big-endian destination socket ID ahead of the
+// unchanged UDT packet. A flow exists only between two endpoints that both
+// advertised a valid socket ID in the handshake (packet.Handshake.SockID),
+// so there is one datagram framing and no per-peer-address routing.
 //
 // A received datagram is classified by Dispatch in this order:
 //
-//  1. shorter than the 4-byte prefix → counted as a short datagram;
+//  1. shorter than the 4-byte prefix, a socket-ID prefix with no room for
+//     a data header behind it, or a handshake too short to carry the
+//     socket-ID words → counted as a short datagram;
 //  2. first word is a valid socket ID (IDValid) → sharded flow-table
 //     lookup; a hit delivers the datagram with the prefix stripped, a
 //     miss counts an unknown destination;
-//  3. a bare handshake control packet → the handshake handler (connection
-//     setup is always sent bare, so it reaches the handler on both new
-//     and old peers);
-//  4. anything else → per-peer-address table; a miss counts an unknown
-//     destination.
+//  3. an unprefixed handshake control packet → the handshake handler
+//     (connection setup is always sent unprefixed: the requester does not
+//     know the listener's socket ID yet).
 //
-// Step 2 cannot misfire on bare traffic because the socket-ID space is
-// disjoint from the first words of paper-era packets: a data packet's
-// first word has the top bit clear, and a control packet's type field —
-// bits 16..30 — never exceeds packet.TypeMessageDrop (0x7). IDValid
-// therefore requires the top bit set and a type-field value above 0x7,
-// and MakeID forces any random word into that space.
+// Anything else — a data or control packet without a socket ID — belongs
+// to no flow and counts as an unknown destination, without a look at the
+// source address.
+//
+// Step 2 cannot misfire on a handshake because the socket-ID space is
+// disjoint from the first words of UDT packets: a data packet's first word
+// has the top bit clear, and a control packet's type field — bits 16..30 —
+// never exceeds packet.TypeMessageDrop (0x7). IDValid therefore requires
+// the top bit set and a type-field value above 0x7, and MakeID forces any
+// random word into that space.
 //
 // The socket-ID table is sharded (16 shards selected by FNV-1a over the
 // ID bytes, one RWMutex each) so the per-packet lookup on a busy socket
-// does not serialize across flows. The ID path performs no allocation —
-// the property BenchmarkMuxDemux pins.
+// does not serialize across flows. Dispatch performs no allocation on any
+// path, delivered or dropped — the property BenchmarkMuxDemux and
+// TestStrayDatagramAllocs pin.
 package mux
 
 import (
@@ -46,7 +49,7 @@ import (
 )
 
 // DestPrefix is the size in bytes of the destination-socket-ID prefix
-// carried ahead of every UDT packet between multiplexing endpoints.
+// carried ahead of every data and control packet of an established flow.
 const DestPrefix = 4
 
 // Flow consumes datagrams demultiplexed to one endpoint. The buffer is
@@ -59,7 +62,7 @@ type Flow interface {
 // IDValid reports whether id lies in the socket-ID space: top bit set and
 // the control-type bits (16..30) above every real control type, so a
 // prefixed datagram's first word can never be confused with the first
-// word of a bare data or control packet.
+// word of an unprefixed handshake (or of any other UDT packet).
 func IDValid(id int32) bool {
 	u := uint32(id)
 	return u&(1<<31) != 0 && (u>>16)&0x7FFF > uint32(packet.TypeMessageDrop)
@@ -91,27 +94,24 @@ type shard struct {
 }
 
 // Core is the demultiplexer for one shared socket: a sharded socket-ID
-// table, a peer-address fallback table for bare (old-peer or
-// pre-handshake) traffic, and drop counters. All methods are safe for
-// concurrent use; Dispatch is called from the socket's read loop while
-// flows register and unregister from other goroutines.
+// table and drop counters. All methods are safe for concurrent use;
+// Dispatch is called from the socket's read loop while flows register and
+// unregister from other goroutines.
 type Core struct {
 	handshake func(raw []byte, from net.Addr)
 
 	shards [numShards]shard
 
-	addrMu sync.RWMutex
-	byAddr map[string]Flow
-
 	unknownDest   atomic.Uint64
 	shortDatagram atomic.Uint64
 }
 
-// NewCore builds a demultiplexer. handshake receives every bare handshake
-// control packet (it may be nil to ignore them); it runs on the read-loop
-// goroutine and must not retain raw.
+// NewCore builds a demultiplexer. handshake receives every handshake
+// control packet long enough to carry the socket-ID words (it may be nil
+// to ignore them); it runs on the read-loop goroutine and must not retain
+// raw.
 func NewCore(handshake func(raw []byte, from net.Addr)) *Core {
-	c := &Core{handshake: handshake, byAddr: make(map[string]Flow)}
+	c := &Core{handshake: handshake}
 	for i := range c.shards {
 		c.shards[i].flows = make(map[int32]Flow)
 	}
@@ -161,21 +161,25 @@ func (c *Core) Dispatch(raw []byte, from net.Addr) {
 		f.HandleDatagram(raw[DestPrefix:])
 		return
 	}
-	if packet.IsHandshake(raw) {
-		if c.handshake != nil {
-			c.handshake(raw, from)
-		}
-		return
-	}
-	c.addrMu.RLock()
-	f := c.byAddr[from.String()]
-	c.addrMu.RUnlock()
-	if f == nil {
+	if !packet.IsHandshake(raw) {
+		// No socket ID and not connection setup: it belongs to no flow.
 		c.unknownDest.Add(1)
 		return
 	}
-	f.HandleDatagram(raw)
+	if len(raw) < packet.CtrlHeaderSize+packet.HandshakeExtBody {
+		// No room for the socket-ID words every handshake carries.
+		c.shortDatagram.Add(1)
+		return
+	}
+	if c.handshake != nil {
+		c.handshake(raw, from)
+	}
 }
+
+// CountUnknownDest records a drop the handshake handler decided on: a
+// decodable request or response that names no valid socket ID has no flow
+// it could belong to, the same verdict Dispatch reaches for a data packet.
+func (c *Core) CountUnknownDest() { c.unknownDest.Add(1) }
 
 // AllocID draws random words from rand until one lands on an unused socket
 // ID, registers f under it, and returns the ID.
@@ -219,34 +223,6 @@ func (c *Core) Unregister(id int32) {
 	s.mu.Unlock()
 }
 
-// RegisterAddr binds f as the bare-traffic flow for a peer address key
-// (net.Addr.String() form), replacing any previous binding.
-func (c *Core) RegisterAddr(key string, f Flow) {
-	c.addrMu.Lock()
-	c.byAddr[key] = f
-	c.addrMu.Unlock()
-}
-
-// UnregisterAddr removes a peer-address binding, but only while it still
-// points at f — a flow tearing down must not evict the replacement that
-// took over its address.
-func (c *Core) UnregisterAddr(key string, f Flow) {
-	c.addrMu.Lock()
-	if c.byAddr[key] == f {
-		delete(c.byAddr, key)
-	}
-	c.addrMu.Unlock()
-}
-
-// LookupAddr returns the bare-traffic flow bound to a peer address key,
-// or nil.
-func (c *Core) LookupAddr(key string) Flow {
-	c.addrMu.RLock()
-	f := c.byAddr[key]
-	c.addrMu.RUnlock()
-	return f
-}
-
 // Flows returns the number of socket-ID-bound flows.
 func (c *Core) Flows() int {
 	n := 0
@@ -259,9 +235,11 @@ func (c *Core) Flows() int {
 	return n
 }
 
-// Counters returns the running totals of datagrams dropped because the
-// destination socket ID (or, for bare traffic, the peer address) was
-// unknown, and of datagrams too short to classify.
+// Counters returns the running totals of datagrams dropped because they
+// named no resident flow — an unknown socket ID, no socket ID at all, or a
+// handshake request/response advertising an invalid one — and of datagrams
+// too short for their class: under the prefix, a prefix with no packet
+// behind it, or a handshake without room for the socket-ID words.
 func (c *Core) Counters() (unknownDest, shortDatagram uint64) {
 	return c.unknownDest.Load(), c.shortDatagram.Load()
 }

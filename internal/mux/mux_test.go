@@ -1,6 +1,7 @@
 package mux
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,7 @@ func (f *recFlow) snapshot() (int, []byte) {
 
 var testAddr net.Addr = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9000}
 
-// dataPacket builds a bare data packet with the given seq and payload.
+// dataPacket builds an unprefixed data packet with the given seq and payload.
 func dataPacket(t testing.TB, seq int32, payload string) []byte {
 	t.Helper()
 	buf := make([]byte, packet.DataHeaderSize+len(payload))
@@ -44,7 +45,7 @@ func dataPacket(t testing.TB, seq int32, payload string) []byte {
 	return buf[:n]
 }
 
-// prefixed wraps a bare packet with a destination-socket-ID prefix.
+// prefixed wraps a packet with a destination-socket-ID prefix.
 func prefixed(id int32, bare []byte) []byte {
 	out := make([]byte, DestPrefix+len(bare))
 	PutDest(out, id)
@@ -59,7 +60,7 @@ func TestIDValid(t *testing.T) {
 	}{
 		{0, false},                  // data packet, seq 0
 		{0x7FFFFFFF, false},         // data packet, max seq
-		{1 << 31, false},            // bare handshake first word
+		{1 << 31, false},            // handshake first word
 		{1<<31 | 0x00070000, false}, // message-drop control, highest real type
 		{1<<31 | 0x00080000, true},  // first word past the control types
 		{1<<31 | 0x7FFF0000, true},  // top of the type field
@@ -72,8 +73,8 @@ func TestIDValid(t *testing.T) {
 			t.Errorf("IDValid(%#x) = %v, want %v", c.id, got, c.want)
 		}
 	}
-	// MakeID lands every word in the valid space, and bare first words
-	// never land there.
+	// MakeID lands every word in the valid space, and control-packet first
+	// words never land there.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
 		id := MakeID(int32(rng.Uint32()))
@@ -99,8 +100,6 @@ func TestDispatchOrder(t *testing.T) {
 	if !IDValid(id) {
 		t.Fatalf("AllocID returned invalid ID %#x", uint32(id))
 	}
-	addrFlow := &recFlow{}
-	c.RegisterAddr(testAddr.String(), addrFlow)
 
 	// 1. Short datagrams are counted, never delivered.
 	c.Dispatch([]byte{1, 2, 3}, testAddr)
@@ -108,7 +107,7 @@ func TestDispatchOrder(t *testing.T) {
 		t.Fatalf("short counter = %d, want 1", short)
 	}
 
-	// 2. A valid prefix with a registered flow delivers the bare packet.
+	// 2. A valid prefix with a registered flow delivers the packet behind it.
 	bare := dataPacket(t, 7, "hello")
 	c.Dispatch(prefixed(id, bare), testAddr)
 	if n, last := idFlow.snapshot(); n != 1 || string(last) != string(bare) {
@@ -121,7 +120,7 @@ func TestDispatchOrder(t *testing.T) {
 		t.Fatalf("short counter = %d, want 2", short)
 	}
 
-	// An unknown ID is counted, not routed to the addr table.
+	// An unknown ID is counted.
 	other := MakeID(id + 12345)
 	if other == id {
 		other = MakeID(other + 1)
@@ -130,11 +129,9 @@ func TestDispatchOrder(t *testing.T) {
 	if unknown, _ := c.Counters(); unknown != 1 {
 		t.Fatalf("unknown counter = %d, want 1", unknown)
 	}
-	if n, _ := addrFlow.snapshot(); n != 0 {
-		t.Fatal("unknown-ID datagram leaked into the addr table")
-	}
 
-	// 3. Bare handshakes reach the handler even with an addr flow bound.
+	// 3. Handshakes reach the handler — unless they are too short to carry
+	// the socket-ID words, which is a short datagram.
 	hsBuf := make([]byte, 64)
 	hn, err := packet.EncodeHandshake(hsBuf, &packet.Handshake{Version: packet.Version, ReqType: 1, ConnID: 5}, 0)
 	if err != nil {
@@ -144,48 +141,28 @@ func TestDispatchOrder(t *testing.T) {
 	if hsCount != 1 || hsFrom != testAddr {
 		t.Fatalf("handshake handler count=%d from=%v", hsCount, hsFrom)
 	}
-	if n, _ := addrFlow.snapshot(); n != 0 {
-		t.Fatal("handshake leaked into the addr table")
+	c.Dispatch(hsBuf[:hn-1], testAddr)
+	if _, short := c.Counters(); short != 3 || hsCount != 1 {
+		t.Fatalf("truncated handshake: short counter = %d, handler count = %d; want 3, 1", short, hsCount)
 	}
 
-	// 4. Bare non-handshake traffic goes to the addr table.
+	// Anything else without a socket ID belongs to no flow, whoever sent it.
 	c.Dispatch(bare, testAddr)
-	if n, last := addrFlow.snapshot(); n != 1 || string(last) != string(bare) {
-		t.Fatalf("addr flow got %d datagrams, last %q; want 1 × %q", n, last, bare)
-	}
-	// Unknown address → counted.
-	stranger := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 9), Port: 1}
-	c.Dispatch(bare, stranger)
 	if unknown, _ := c.Counters(); unknown != 2 {
 		t.Fatalf("unknown counter = %d, want 2", unknown)
 	}
+	if n, _ := idFlow.snapshot(); n != 1 {
+		t.Fatal("unprefixed datagram reached the registered flow")
+	}
 
-	// Unregister closes both routes.
+	// Unregister closes the route.
 	c.Unregister(id)
-	c.UnregisterAddr(testAddr.String(), addrFlow)
 	c.Dispatch(prefixed(id, bare), testAddr)
-	c.Dispatch(bare, testAddr)
-	if unknown, _ := c.Counters(); unknown != 4 {
-		t.Fatalf("unknown counter after unregister = %d, want 4", unknown)
+	if unknown, _ := c.Counters(); unknown != 3 {
+		t.Fatalf("unknown counter after unregister = %d, want 3", unknown)
 	}
 	if c.Flows() != 0 {
 		t.Fatalf("Flows() = %d after unregister", c.Flows())
-	}
-}
-
-func TestUnregisterAddrGuard(t *testing.T) {
-	c := NewCore(nil)
-	old, repl := &recFlow{}, &recFlow{}
-	key := testAddr.String()
-	c.RegisterAddr(key, old)
-	c.RegisterAddr(key, repl) // replacement takes over the address
-	c.UnregisterAddr(key, old)
-	if c.LookupAddr(key) != repl {
-		t.Fatal("stale UnregisterAddr evicted the replacement flow")
-	}
-	c.UnregisterAddr(key, repl)
-	if c.LookupAddr(key) != nil {
-		t.Fatal("UnregisterAddr left the binding in place")
 	}
 }
 
@@ -263,6 +240,85 @@ func TestMuxDemuxZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("demux path allocates %.1f times per packet, want 0", allocs)
 	}
+}
+
+// TestStrayDatagramAllocs pins that a datagram no flow will take costs the
+// read loop no allocation, whatever its class: an unknown socket ID, no
+// socket ID at all, or a handshake too short to carry one. The source is a
+// *net.UDPAddr, as on a real socket — it is never formatted.
+func TestStrayDatagramAllocs(t *testing.T) {
+	c := NewCore(func([]byte, net.Addr) { t.Error("stray datagram reached the handshake handler") })
+	c.AllocID(rand.New(rand.NewSource(8)).Int31, &recFlow{})
+	bare := dataPacket(t, 1, "payload")
+	shortHS := make([]byte, 64)
+	n, err := packet.EncodeHandshake(shortHS, &packet.Handshake{Version: packet.Version, ReqType: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		raw            []byte
+		unknown, short uint64
+	}{
+		{"unknown ID", prefixed(MakeID(0x7654321), bare), 1, 0},
+		{"no ID", bare, 1, 0},
+		{"short handshake", shortHS[:n-2*4], 0, 1},
+	} {
+		u0, s0 := c.Counters()
+		const runs = 1000
+		allocs := testing.AllocsPerRun(runs, func() { c.Dispatch(tc.raw, testAddr) })
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per stray datagram, want 0", tc.name, allocs)
+		}
+		u, s := c.Counters()
+		if u-u0 != tc.unknown*(runs+1) || s-s0 != tc.short*(runs+1) { // AllocsPerRun warms up once
+			t.Errorf("%s: counters moved by (%d, %d) over %d datagrams", tc.name, u-u0, s-s0, runs+1)
+		}
+	}
+}
+
+// FuzzCoreDispatch throws arbitrary datagrams at a core with one registered
+// flow and a counting handshake handler. Dispatch must never panic, a
+// delivered slice is exactly the datagram behind its prefix, and every
+// datagram offered is accounted for exactly once: delivered, handed to the
+// handshake handler, or dropped under one of the two counters.
+func FuzzCoreDispatch(f *testing.F) {
+	id := MakeID(0x1234567)
+	bare := dataPacket(f, 1, "payload")
+	hs := make([]byte, 64)
+	n, err := packet.EncodeHandshake(hs, &packet.Handshake{Version: packet.Version, ReqType: 1, SockID: id}, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		nil, {1, 2, 3}, bare, prefixed(id, bare), prefixed(id, nil), prefixed(id+1, bare),
+		hs[:n], hs[:n-1], hs[:packet.CtrlHeaderSize+28], hs[:packet.CtrlHeaderSize],
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var handshakes uint64
+		c := NewCore(func(got []byte, _ net.Addr) {
+			handshakes++
+			if !bytes.Equal(got, raw) || !packet.IsHandshake(got) || len(got) < packet.CtrlHeaderSize+packet.HandshakeExtBody {
+				t.Fatalf("handler got % x for datagram % x", got, raw)
+			}
+		})
+		flow := &recFlow{}
+		if !c.Register(id, flow) {
+			t.Fatal("Register refused a valid ID")
+		}
+		c.Dispatch(raw, testAddr)
+		delivered, last := flow.snapshot()
+		if delivered == 1 && !bytes.Equal(last, raw[DestPrefix:]) {
+			t.Fatalf("delivered % x, want % x", last, raw[DestPrefix:])
+		}
+		unknown, short := c.Counters()
+		if uint64(delivered)+handshakes+unknown+short != 1 {
+			t.Fatalf("datagram % x: delivered=%d handshakes=%d unknownDest=%d shortDatagram=%d, want exactly one",
+				raw, delivered, handshakes, unknown, short)
+		}
+	})
 }
 
 // BenchmarkMuxDemux measures the per-packet cost of the socket-ID dispatch

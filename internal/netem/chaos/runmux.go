@@ -148,9 +148,9 @@ func RunMux(cfg MuxConfig) MuxResult {
 	epB, _ := nw.Endpoint("b")
 	nw.SetLink("a", "b", cfg.Link)
 
-	// No bare traffic in this harness: a handshake or unroutable datagram
-	// reaching the cores' fallback paths counts as a drop, which the
-	// result surfaces.
+	// Every datagram in this harness is socket-ID-prefixed and there are no
+	// handshakes: one that misses its flow is counted by the core, and the
+	// result surfaces the counters.
 	coreA := mux.NewCore(func([]byte, net.Addr) {})
 	coreB := mux.NewCore(func([]byte, net.Addr) {})
 

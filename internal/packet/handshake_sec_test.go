@@ -49,8 +49,8 @@ func TestSecureHandshakeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, h)
 	}
 
-	// A secure handshake without the socket-ID extension still pins the
-	// extension words in place (as zeros).
+	// Zero socket IDs (a cookie challenge's SockID) are words on the wire
+	// like any other: same length, same offsets.
 	h2 := h
 	h2.SockID, h2.PeerSockID = 0, 0
 	n2, err := EncodeHandshake(buf, &h2, 99)
@@ -58,7 +58,7 @@ func TestSecureHandshakeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n2 != CtrlHeaderSize+HandshakeSecBody {
-		t.Fatalf("no-ext secure length %d", n2)
+		t.Fatalf("zero-ID secure length %d", n2)
 	}
 	c2, _ := DecodeControl(buf[:n2])
 	got2, err := DecodeHandshake(c2)
@@ -66,37 +66,37 @@ func TestSecureHandshakeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got2 != h2 {
-		t.Fatalf("no-ext round trip mismatch: %+v", got2)
+		t.Fatalf("zero-ID round trip mismatch: %+v", got2)
 	}
 }
 
-// A paper-era or socket-ID-only decoder truncating the body must still see
-// the classic fields, and a short body decodes with SecFlags zero — the
-// negotiate-down signal.
+// A body cut down to the socket-ID words decodes with SecFlags zero — the
+// negotiate-down signal — and the fields ahead of the option intact; cut
+// any shorter (the paper's 28 bytes) it does not decode at all.
 func TestSecureHandshakeNegotiatesDown(t *testing.T) {
 	h := secHandshake()
 	buf := make([]byte, 256)
-	n, err := EncodeHandshake(buf, &h, 0)
+	if _, err := EncodeHandshake(buf, &h, 0); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeControl(buf[:CtrlHeaderSize+HandshakeExtBody])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{HandshakeBody, HandshakeExtBody} {
-		c, err := DecodeControl(buf[:CtrlHeaderSize+cut])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeHandshake(c)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		if got.Sec() {
-			t.Fatalf("cut=%d still flags secure", cut)
-		}
-		if got.ConnID != h.ConnID || got.InitSeq != h.InitSeq {
-			t.Fatalf("cut=%d classic fields lost: %+v", cut, got)
-		}
+	got, err := DecodeHandshake(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = n
+	if got.Sec() {
+		t.Fatal("clear-length body still flags secure")
+	}
+	if got.ConnID != h.ConnID || got.InitSeq != h.InitSeq || got.SockID != h.SockID {
+		t.Fatalf("fields ahead of the option lost: %+v", got)
+	}
+	c.Body = c.Body[:28]
+	if _, err := DecodeHandshake(c); err != ErrShort {
+		t.Fatalf("28-byte body: err = %v, want ErrShort", err)
+	}
 }
 
 func TestHandshakeMACInput(t *testing.T) {
@@ -137,9 +137,7 @@ func FuzzDecodeHandshake(f *testing.F) {
 	h.SecFlags = 0
 	n, _ = EncodeHandshake(buf, &h, 1)
 	f.Add(append([]byte(nil), buf[:n]...))
-	h.SockID = 0
-	n, _ = EncodeHandshake(buf, &h, 1)
-	f.Add(append([]byte(nil), buf[:n]...))
+	f.Add(append([]byte(nil), buf[:CtrlHeaderSize+28]...)) // the paper's body: must not decode
 	f.Add([]byte{0x80, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xff}, CtrlHeaderSize+HandshakeSecBody))
 
@@ -152,19 +150,21 @@ func FuzzDecodeHandshake(f *testing.F) {
 			return
 		}
 		hs, err := DecodeHandshake(c)
+		if short := len(c.Body) < HandshakeExtBody; short != (err != nil) {
+			t.Fatalf("body of %d bytes: err = %v", len(c.Body), err)
+		}
 		if err != nil {
 			return
 		}
 		if _, _, err := HandshakeMACInput(raw); err != nil && len(c.Body) >= HandshakeSecBody {
 			t.Fatalf("MACInput refused a body of %d bytes", len(c.Body))
 		}
-		// Canonicality (decode∘encode identity) holds for every secure
-		// handshake and for clear rendezvous bodies. A non-secure body
-		// padded out to secure length decodes junk into the option
-		// fields by design (the length discriminator trusts SecFlags);
-		// re-encoding such a handshake legitimately drops the junk, so
-		// those are excluded.
-		if !hs.Sec() && !(hs.Rdv() && len(c.Body) < HandshakeSecBody) {
+		// Canonicality (decode∘encode identity) holds for every handshake
+		// but one kind: a non-secure body padded out to secure length
+		// decodes junk into the option fields by design (the length
+		// discriminator trusts SecFlags), and re-encoding it legitimately
+		// drops the junk.
+		if !hs.Sec() && len(c.Body) >= HandshakeSecBody {
 			return
 		}
 		out := make([]byte, CtrlHeaderSize+HandshakeSecRdvBody)

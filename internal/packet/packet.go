@@ -121,20 +121,20 @@ func DecodeData(raw []byte) (Data, error) {
 
 // Handshake is the connection setup control packet body.
 //
-// The paper-era body is seven 32-bit words. A multiplexing endpoint appends
-// a socket-ID pair (two more words, the extension UDT v4 later folded into
-// its header): SockID names the sender's endpoint on its shared socket and
-// PeerSockID echoes the destination's, once known. Old peers ignore the
-// extra words and answer with the 28-byte body, which decodes with both IDs
-// zero — the negotiated-down, address-demultiplexed mode.
+// The body is the paper's seven 32-bit words followed by a socket-ID pair
+// (two more words, the extension UDT v4 later folded into its header):
+// SockID names the sender's endpoint on its socket and PeerSockID echoes
+// the destination's, once known. Every handshake carries the pair — flows
+// are addressed by socket ID and by nothing else — so a body shorter than
+// HandshakeExtBody (the paper's own 28-byte handshake included) does not
+// decode.
 //
 // A secure endpoint appends the authentication option after the socket-ID
 // pair: a flags word, a 16-byte nonce for session-key derivation, the
 // 8-byte stateless source-address cookie, and a 32-byte HMAC over
-// everything before it (see internal/secure for the key schedule). Old
-// peers again ignore the extra bytes; a body shorter than HandshakeSecBody
-// decodes with SecFlags zero — the signal the peer is paper-era, handled
-// by the endpoint's negotiate-down policy.
+// everything before it (see internal/secure for the key schedule). A body
+// shorter than HandshakeSecBody decodes with SecFlags zero — a clear
+// endpoint, handled by the peer's Config.AllowUnauth policy.
 //
 // A rendezvous dialer (paper §4: both sides dial simultaneously) appends
 // the rendezvous option — a flags word and an 8-byte tie-break nonce —
@@ -143,8 +143,8 @@ func DecodeData(raw []byte) (Data, error) {
 // covers the rendezvous option, so a secure rendezvous request cannot have
 // its trailer stripped or altered in flight. Old peers ignore the option:
 // a clear rendezvous request decodes on a pre-rendezvous listener as a
-// plain extended request (useful: rendezvous-to-listener still connects),
-// while a secure one fails MAC verification there and is dropped.
+// plain request (useful: rendezvous-to-listener still connects), while a
+// secure one fails MAC verification there and is dropped.
 type Handshake struct {
 	Version    int32 // protocol version; this implementation speaks 4
 	SockType   int32 // 0 = stream (the only mode the paper's UDT supports)
@@ -153,7 +153,7 @@ type Handshake struct {
 	FlowWindow int32 // maximum flow window (packets)
 	ReqType    int32 // 1 = request, -1 = response, -2 = cookie challenge
 	ConnID     int32 // connection identifier chosen by the initiator
-	SockID     int32 // sender's socket ID on its shared socket (0 = none)
+	SockID     int32 // sender's socket ID (only a cookie challenge leaves it 0)
 	PeerSockID int32 // destination's socket ID as known to the sender (0 = unknown)
 
 	SecFlags uint32   // authentication option flags (0 = option absent)
@@ -165,9 +165,6 @@ type Handshake struct {
 
 	MAC [32]byte // HMAC-SHA256 over the body bytes before this field
 }
-
-// Ext reports whether the handshake carries the socket-ID extension.
-func (h *Handshake) Ext() bool { return h.SockID != 0 }
 
 // Sec reports whether the handshake carries the authentication option.
 func (h *Handshake) Sec() bool { return h.SecFlags != 0 }
@@ -193,12 +190,13 @@ const (
 	HSCookie = -2
 )
 
-// Handshake body sizes in bytes: the paper-era seven words, the
-// socket-ID-extended nine words, the authentication-extended body, and the
-// rendezvous-extended variants of the clear and secure bodies. The decoder
-// discriminates by length, so every size must stay distinct and ordered.
+// Handshake body sizes in bytes: the nine words every handshake carries
+// (the paper's seven plus the socket-ID pair) — the floor below which
+// nothing is encoded or decoded — the authentication-extended body, and
+// the rendezvous-extended variants of the clear and secure bodies. The
+// decoder discriminates by length, so every size must stay distinct and
+// ordered.
 const (
-	HandshakeBody    = 28
 	HandshakeExtBody = 36
 	HandshakeSecBody = HandshakeExtBody + 4 + 16 + 8 + 32
 
@@ -294,17 +292,12 @@ func putCtrlHeader(dst []byte, t ControlType, extra, ts int32) {
 }
 
 // EncodeHandshake writes a handshake control packet and returns its length.
-// The socket-ID extension words are appended only when h.SockID is nonzero,
-// so non-multiplexed endpoints emit the paper-era 28-byte body unchanged;
-// the authentication option (which fixes the socket-ID words in place even
-// when zero) is appended only when h.SecFlags is nonzero. The MAC field is
-// written as given — compute it afterwards over the slice
-// HandshakeMACInput returns.
+// The socket-ID words are always written; the rendezvous option is appended
+// only when h.RdvFlags is nonzero and the authentication option only when
+// h.SecFlags is nonzero. The MAC field is written as given — compute it
+// afterwards over the slice HandshakeMACInput returns.
 func EncodeHandshake(dst []byte, h *Handshake, ts int32) (int, error) {
-	body := HandshakeBody
-	if h.Ext() {
-		body = HandshakeExtBody
-	}
+	body := HandshakeExtBody
 	if h.Rdv() {
 		body = HandshakeRdvBody
 	}
@@ -320,12 +313,8 @@ func EncodeHandshake(dst []byte, h *Handshake, ts int32) (int, error) {
 	}
 	putCtrlHeader(dst, TypeHandshake, 0, ts)
 	b := dst[CtrlHeaderSize:]
-	for i, v := range []int32{h.Version, h.SockType, h.InitSeq, h.MSS, h.FlowWindow, h.ReqType, h.ConnID} {
+	for i, v := range []int32{h.Version, h.SockType, h.InitSeq, h.MSS, h.FlowWindow, h.ReqType, h.ConnID, h.SockID, h.PeerSockID} {
 		binary.BigEndian.PutUint32(b[i*4:], uint32(v))
-	}
-	if body >= HandshakeExtBody {
-		binary.BigEndian.PutUint32(b[28:], uint32(h.SockID))
-		binary.BigEndian.PutUint32(b[32:], uint32(h.PeerSockID))
 	}
 	switch {
 	case h.Sec():
@@ -367,14 +356,12 @@ func HandshakeMACInput(pkt []byte) (input, mac []byte, err error) {
 }
 
 // DecodeHandshake interprets the body of a handshake control packet. A
-// 28-byte body (an old peer, or an endpoint without a shared socket) yields
-// zero for both socket IDs — the signal to fall back to per-peer-address
-// demultiplexing.
+// body without room for the socket-ID words is ErrShort.
 func DecodeHandshake(c Control) (Handshake, error) {
 	if c.Type != TypeHandshake {
 		return Handshake{}, fmt.Errorf("packet: %v is not a handshake", c.Type)
 	}
-	if len(c.Body) < HandshakeBody {
+	if len(c.Body) < HandshakeExtBody {
 		return Handshake{}, ErrShort
 	}
 	get := func(i int) int32 { return int32(binary.BigEndian.Uint32(c.Body[i*4:])) }
@@ -386,10 +373,8 @@ func DecodeHandshake(c Control) (Handshake, error) {
 		FlowWindow: get(4),
 		ReqType:    get(5),
 		ConnID:     get(6),
-	}
-	if len(c.Body) >= HandshakeExtBody {
-		h.SockID = get(7)
-		h.PeerSockID = get(8)
+		SockID:     get(7),
+		PeerSockID: get(8),
 	}
 	switch {
 	case len(c.Body) >= HandshakeSecRdvBody:
@@ -421,7 +406,7 @@ func DecodeHandshake(c Control) (Handshake, error) {
 
 // IsHandshake reports whether the raw datagram is a handshake control
 // packet, without decoding it — the cheap test demultiplexers run on every
-// bare (non-socket-ID-prefixed) datagram from an unknown flow.
+// datagram that does not start with a socket ID.
 func IsHandshake(raw []byte) bool {
 	if len(raw) < 4 {
 		return false

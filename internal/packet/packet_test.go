@@ -322,25 +322,18 @@ func TestControlTypeString(t *testing.T) {
 	}
 }
 
-// TestHandshakeSockIDRoundTrip quick-checks the socket-ID extension in both
-// directions: any extended handshake (SockID != 0) must encode to the
-// 36-byte body and decode back field-for-field, and any plain handshake
-// (SockID == 0) must stay on the paper-era 28-byte body.
+// TestHandshakeSockIDRoundTrip quick-checks the clear handshake: whatever
+// the socket IDs — zero included — it encodes to the 36-byte body and
+// decodes back field-for-field.
 func TestHandshakeSockIDRoundTrip(t *testing.T) {
+	// The authentication and rendezvous options have their own round-trip
+	// tests and fuzz targets.
 	roundTrip := func(h Handshake) bool {
+		h.SecFlags, h.Nonce, h.Cookie, h.MAC = 0, [16]byte{}, 0, [32]byte{}
+		h.RdvFlags, h.RdvNonce = 0, 0
 		buf := make([]byte, 128)
 		n, err := EncodeHandshake(buf, &h, 7)
-		if err != nil {
-			return false
-		}
-		wantBody := HandshakeBody
-		if h.SockID != 0 {
-			wantBody = HandshakeExtBody
-		}
-		if n != CtrlHeaderSize+wantBody {
-			return false
-		}
-		if !IsHandshake(buf[:n]) {
+		if err != nil || n != CtrlHeaderSize+HandshakeExtBody || !IsHandshake(buf[:n]) {
 			return false
 		}
 		c, err := DecodeControl(buf[:n])
@@ -348,48 +341,20 @@ func TestHandshakeSockIDRoundTrip(t *testing.T) {
 			return false
 		}
 		got, err := DecodeHandshake(c)
-		if err != nil {
-			return false
-		}
-		want := h
-		if h.SockID == 0 {
-			want.PeerSockID = 0 // never on the wire without the extension
-		}
-		return got == want
+		return err == nil && got == h
 	}
-	// These directions pin the pre-secure wire shapes; the authentication
-	// and rendezvous options have their own round-trip tests and fuzz
-	// targets.
-	clearSec := func(h Handshake) Handshake {
-		h.SecFlags, h.Nonce, h.Cookie, h.MAC = 0, [16]byte{}, 0, [32]byte{}
-		h.RdvFlags, h.RdvNonce = 0, 0
-		return h
+	if err := quick.Check(roundTrip, nil); err != nil {
+		t.Errorf("handshake round trip: %v", err)
 	}
-	// Extended direction: force a nonzero SockID.
-	ext := func(h Handshake, id int32) bool {
-		if id == 0 {
-			id = 1
-		}
-		h.SockID = id
-		return roundTrip(clearSec(h))
-	}
-	// Plain direction: force the extension off.
-	plain := func(h Handshake) bool {
-		h.SockID = 0
-		return roundTrip(clearSec(h))
-	}
-	if err := quick.Check(ext, nil); err != nil {
-		t.Errorf("extended handshake round trip: %v", err)
-	}
-	if err := quick.Check(plain, nil); err != nil {
-		t.Errorf("plain handshake round trip: %v", err)
+	if !roundTrip(Handshake{Version: Version, ReqType: HSRequest, ConnID: 3, PeerSockID: 12}) {
+		t.Error("zero-SockID handshake did not round-trip on the 36-byte body")
 	}
 }
 
-// TestHandshakeOldNewCompat pins the negotiation matrix between paper-era
-// (28-byte) and extended (36-byte) handshake speakers: an old decoder must
-// accept an extended body (ignoring the extension), and a new decoder must
-// accept an old body, reporting both socket IDs as zero.
+// TestHandshakeOldNewCompat pins what is left of the matrix between the
+// paper's 28-byte handshake and this one: none. A body without the
+// socket-ID words is ErrShort at every length below HandshakeExtBody, and
+// the first length that decodes is the one the encoder emits.
 func TestHandshakeOldNewCompat(t *testing.T) {
 	h := Handshake{
 		Version: Version, InitSeq: 99, MSS: 1472, FlowWindow: 25600,
@@ -401,52 +366,22 @@ func TestHandshakeOldNewCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != CtrlHeaderSize+HandshakeExtBody {
-		t.Fatalf("extended encode length %d, want %d", n, CtrlHeaderSize+HandshakeExtBody)
+		t.Fatalf("encode length %d, want %d", n, CtrlHeaderSize+HandshakeExtBody)
 	}
-
-	// Old peer reading a new handshake: it only knows the first 28 body
-	// bytes; the words it does read must be unchanged by the extension.
 	c, err := DecodeControl(buf[:n])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Body = c.Body[:HandshakeBody] // what an old decoder interprets
-	old, err := DecodeHandshake(c)
-	if err != nil {
-		t.Fatal(err)
+	body := c.Body
+	for cut := 0; cut < HandshakeExtBody; cut++ { // 28, the paper's body, among them
+		c.Body = body[:cut]
+		if _, err := DecodeHandshake(c); err != ErrShort {
+			t.Fatalf("%d-byte body: err = %v, want ErrShort", cut, err)
+		}
 	}
-	if old.SockID != 0 || old.PeerSockID != 0 {
-		t.Fatalf("truncated body produced socket IDs: %+v", old)
-	}
-	want := h
-	want.SockID, want.PeerSockID = 0, 0
-	if old != want {
-		t.Fatalf("paper-era fields changed by extension: got %+v want %+v", old, want)
-	}
-
-	// New peer reading an old handshake: a 28-byte body must decode with
-	// both IDs zero (address-demux fallback).
-	h.SockID, h.PeerSockID = 0, 0
-	n, err = EncodeHandshake(buf, &h, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != CtrlHeaderSize+HandshakeBody {
-		t.Fatalf("plain encode length %d, want %d", n, CtrlHeaderSize+HandshakeBody)
-	}
-	c, err = DecodeControl(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHandshake(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("old body decode mismatch: got %+v want %+v", got, h)
-	}
-	if got.Ext() {
-		t.Fatal("plain handshake reported the extension")
+	c.Body = body
+	if got, err := DecodeHandshake(c); err != nil || got != h {
+		t.Fatalf("full body: %+v, %v; want %+v", got, err, h)
 	}
 }
 

@@ -22,10 +22,6 @@ func Dial(address string, cfg *Config) (*Conn, error) {
 	return DialOn(sock, raddr, cfg)
 }
 
-func udpAddrEqual(a, b *net.UDPAddr) bool {
-	return a.Port == b.Port && a.IP.Equal(b.IP)
-}
-
 // wantUDPBuf is the kernel socket buffer size tuneUDPBuffers requests.
 const wantUDPBuf = 8 << 20
 
@@ -56,11 +52,11 @@ func tuneUDPBuffers(sock *net.UDPConn) (rcvBytes, sndBytes int) {
 
 // Listener accepts incoming UDT connections on one datagram transport,
 // which all accepted connections share. It sits on a Mux's demultiplexer:
-// multiplexing clients are routed by socket ID (many flows per client
-// address), paper-era clients by peer address. A Listener made by
-// Listen/ListenOn owns its Mux and tears the whole socket down on Close;
-// one made by Mux.Listen only stops accepting and closes the accepted
-// connections, leaving the Mux's dialed flows running.
+// every flow is routed by socket ID, so one client address can carry any
+// number of them. A Listener made by Listen/ListenOn owns its Mux and
+// tears the whole socket down on Close; one made by Mux.Listen only stops
+// accepting and closes the accepted connections, leaving the Mux's dialed
+// flows running.
 type Listener struct {
 	m       *Mux
 	ownsMux bool

@@ -18,12 +18,12 @@ import (
 
 // Mux multiplexes many concurrent UDT flows — outbound dials, a listener,
 // or both — over one shared datagram transport: one socket, one read
-// loop, N endpoints. Flows between two Mux-backed endpoints carry a
-// 4-byte destination-socket-ID prefix ahead of each (unchanged) UDT
-// packet, negotiated through the extended handshake; a peer speaking the
-// paper-era wire format is detected during the handshake and served bare
-// datagrams demultiplexed by its address instead (see internal/mux for
-// the dispatch rules).
+// loop, N endpoints. Every flow is addressed by socket ID: both ends
+// advertise one in the handshake, and every data and control datagram
+// carries the receiver's as a 4-byte prefix ahead of the (unchanged) UDT
+// packet (see internal/mux for the dispatch rules). A handshake that
+// advertises no valid socket ID — the paper's own 28-byte handshake
+// included — is counted and dropped unanswered.
 //
 // On Linux the read and write paths use recvmmsg/sendmmsg to move batches
 // of datagrams per syscall; elsewhere a portable single-datagram path is
@@ -96,9 +96,9 @@ type pendingDial struct {
 	req   packet.Handshake // the request as first sent; read-only once published
 	buf   []byte           // encoded request (cookie echoed, once challenged), resent as-is
 
-	deadline int64       // µs on the shard clock; after this the dial dies
-	resp     chan hsResp // buffered 1; first routed handshake wins
-	dead     chan error  // buffered 1; delivers ErrTimeout or a send error
+	deadline int64                 // µs on the shard clock; after this the dial dies
+	resp     chan packet.Handshake // buffered 1; first routed handshake wins
+	dead     chan error            // buffered 1; delivers ErrTimeout or a send error
 	schedSt  schedState
 
 	// Rendezvous state, zero for ordinary dials (see Mux.Rendezvous). While
@@ -136,12 +136,6 @@ func (pd *pendingDial) runTask() (int64, bool) {
 		wake = pd.deadline
 	}
 	return wake, false
-}
-
-// hsResp is a handshake response routed to a pending dial.
-type hsResp struct {
-	hs      packet.Handshake
-	fromKey string // response source address in String() form
 }
 
 // acceptEntry pins the exact handshake response for one accepted request,
@@ -237,10 +231,10 @@ func (m *Mux) Offload() (gso, gro bool) {
 // Addr returns the shared transport's local address.
 func (m *Mux) Addr() net.Addr { return m.sock.LocalAddr() }
 
-// Counters reports the demultiplexer's drop totals: datagrams whose
-// destination socket ID (or, for bare traffic, source address) was
-// unknown, and datagrams too short to classify. The same totals surface
-// per-connection as Stats.MuxUnknownDest / Stats.MuxShortDatagram.
+// Counters reports the demultiplexer's drop totals: datagrams that named
+// no resident flow (unknown, missing or invalid socket ID), and datagrams
+// too short for their class. The same totals surface per-connection as
+// Stats.MuxUnknownDest / Stats.MuxShortDatagram.
 func (m *Mux) Counters() (unknownDest, shortDatagram uint64) {
 	return m.core.Counters()
 }
@@ -329,16 +323,14 @@ func (r *singleReader) readBatch(deliver func([]byte, net.Addr, time.Time)) erro
 }
 
 // muxFlow is one endpoint's seat on the shared socket: the sockWriter a
-// multiplexed Conn sends through, and the mux.Flow its datagrams are
-// delivered to. peerID selects the wire format — nonzero stamps the
-// peer's socket ID into the headroom of every outgoing datagram; zero
-// (an old peer) sends bare packets and receives by address.
+// Conn sends through, and the mux.Flow its datagrams are delivered to.
+// The peer's socket ID is stamped into the first mux.DestPrefix bytes of
+// every outgoing datagram; ours is what the peer stamps on its own.
 type muxFlow struct {
 	m         *Mux
 	raddr     net.Addr
-	id        int32  // our socket ID (0 only for bare accepted flows)
-	peerID    int32  // peer's socket ID; 0 = paper-era bare wire format
-	addrKey   string // bare-traffic routing key, when registered
+	id        int32  // our socket ID, allocated with the flow
+	peerID    int32  // peer's socket ID, valid (mux.IDValid) before any Conn exists
 	acceptKey string // accepted-map key, for teardown
 	conn      atomic.Pointer[Conn]
 }
@@ -356,17 +348,8 @@ func (f *muxFlow) HandleDatagram(raw []byte) {
 	}
 }
 
-func (f *muxFlow) headroom() int {
-	if f.peerID != 0 {
-		return mux.DestPrefix
-	}
-	return 0
-}
-
 func (f *muxFlow) writeTo(b []byte, addr net.Addr) (int, error) {
-	if f.peerID != 0 {
-		mux.PutDest(b, f.peerID)
-	}
+	mux.PutDest(b, f.peerID)
 	n, err := f.m.sock.WriteTo(b, addr)
 	if err != nil && transientNetErr(err) {
 		// A queued ICMP error (possibly another flow's) consumed this
@@ -377,10 +360,8 @@ func (f *muxFlow) writeTo(b []byte, addr net.Addr) (int, error) {
 }
 
 func (f *muxFlow) writeBatch(bufs [][]byte, addr net.Addr) error {
-	if f.peerID != 0 {
-		for _, b := range bufs {
-			mux.PutDest(b, f.peerID)
-		}
+	for _, b := range bufs {
+		mux.PutDest(b, f.peerID)
 	}
 	if s := f.m.sender; s != nil {
 		return s.writeBatch(bufs, addr)
@@ -398,7 +379,7 @@ func (f *muxFlow) writeBatch(bufs [][]byte, addr net.Addr) error {
 
 // writeSegments offers the shared socket's GSO path to the flow's Conn.
 // Socket-ID stamping happens before the kernel segments the train, so
-// every recovered datagram demultiplexes exactly like a bare send. A
+// every recovered datagram demultiplexes exactly like a single send. A
 // false return leaves the batch unconsumed; PutDest is idempotent, so
 // the sendmmsg fallback re-stamping the same headroom is harmless.
 func (f *muxFlow) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (bool, error) {
@@ -406,10 +387,8 @@ func (f *muxFlow) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (bool
 	if !ok || s == nil {
 		return false, nil
 	}
-	if f.peerID != 0 {
-		for _, b := range bufs {
-			mux.PutDest(b, f.peerID)
-		}
+	for _, b := range bufs {
+		mux.PutDest(b, f.peerID)
 	}
 	return s.writeSegments(bufs, segSize, addr)
 }
@@ -433,12 +412,7 @@ func (f *muxFlow) sockStats(s Stats) Stats {
 
 // release tears one flow out of every table; it is each Conn's closer.
 func (m *Mux) release(f *muxFlow) {
-	if f.id != 0 {
-		m.core.Unregister(f.id)
-	}
-	if f.addrKey != "" {
-		m.core.UnregisterAddr(f.addrKey, f)
-	}
+	m.core.Unregister(f.id)
 	m.mu.Lock()
 	if c := f.conn.Load(); c != nil {
 		delete(m.conns, c)
@@ -463,11 +437,11 @@ func cloneAddr(a net.Addr) net.Addr {
 }
 
 // Dial opens a UDT connection to raddr over the shared socket. The
-// handshake advertises our socket ID; a Mux-backed peer answers with its
-// own and both directions switch to socket-ID-prefixed datagrams, so any
-// number of flows can share one address pair. An old peer answers with
-// the paper-era handshake and the flow falls back to bare datagrams
-// routed by the peer's address — at most one such flow per peer address.
+// request advertises our socket ID and the peer's response its own; from
+// then on each direction prefixes its datagrams with the receiver's ID,
+// so any number of flows can share one address pair. A response without
+// a valid socket ID is not an answer: the dial keeps retransmitting until
+// a real one arrives or HandshakeTimeout expires.
 func (m *Mux) Dial(raddr net.Addr) (*Conn, error) {
 	if raddr == nil {
 		return nil, errors.New("udt: mux dial: nil remote address")
@@ -475,16 +449,13 @@ func (m *Mux) Dial(raddr net.Addr) (*Conn, error) {
 	return m.connect(m.newDial(raddr))
 }
 
-// flowConfig is the Config a new flow starts negotiating from. With ext
-// (both ends will prefix their datagrams with a socket ID) it leaves room
-// for the destination prefix, so prefix + packet stay within the datagram
-// budget; the reduced MSS is what gets advertised, so the peer's packets
-// fit under the path MTU too.
-func (m *Mux) flowConfig(ext bool) Config {
+// flowConfig is the Config a new flow starts negotiating from: it leaves
+// room for the destination prefix, so prefix + packet stay within the
+// datagram budget; the reduced MSS is what gets advertised, so the peer's
+// packets fit under the path MTU too.
+func (m *Mux) flowConfig() Config {
 	cfg := m.cfg
-	if ext {
-		cfg.MSS = max(cfg.MSS-mux.DestPrefix, 96)
-	}
+	cfg.MSS = max(cfg.MSS-mux.DestPrefix, 96)
 	return cfg
 }
 
@@ -494,7 +465,7 @@ func (m *Mux) flowConfig(ext bool) Config {
 func (m *Mux) newDial(raddr net.Addr) *pendingDial {
 	flow := &muxFlow{m: m, raddr: cloneAddr(raddr)}
 	flow.id = m.core.AllocID(m.randInt31, flow)
-	cfg := m.flowConfig(true)
+	cfg := m.flowConfig()
 	return &pendingDial{
 		m: m, shard: m.pool.shard(), flow: flow,
 		req: packet.Handshake{
@@ -507,7 +478,7 @@ func (m *Mux) newDial(raddr net.Addr) *pendingDial {
 			SockID:     flow.id,
 		},
 		buf:  make([]byte, hsBufSize),
-		resp: make(chan hsResp, 1),
+		resp: make(chan packet.Handshake, 1),
 		dead: make(chan error, 1),
 	}
 }
@@ -541,27 +512,25 @@ func (pd *pendingDial) start() error {
 // await parks the dialing goroutine until the handshake resolves: with
 // the peer's acceptable response, with a connection the read loop built
 // from a won rendezvous crossing, or with an error. The read loop routes
-// handshakes addressed to this dial into pd.resp (responses arrive bare;
-// internal/mux hands them to handleHandshake, which matches them by our
-// socket ID or, for old peers, by connection ID and address). Only an
-// HSResponse completes the dial. On a secure dial a cookie challenge
-// restarts the request with the cookie echoed, and a response that fails
-// authentication is ignored — an off-path forgery must not be able to
-// kill the dial — while the wheel keeps retransmitting until the real
-// answer or the deadline.
-func (pd *pendingDial) await() (r hsResp, won *Conn, err error) {
+// handshakes addressed to this dial into pd.resp (responses arrive
+// unprefixed; internal/mux hands them to handleHandshake, which matches
+// them by the socket ID they echo). Only an HSResponse completes the dial.
+// On a secure dial a cookie challenge restarts the request with the cookie
+// echoed, and a response that fails authentication is ignored — an
+// off-path forgery must not be able to kill the dial — while the wheel
+// keeps retransmitting until the real answer or the deadline.
+func (pd *pendingDial) await() (hs packet.Handshake, won *Conn, err error) {
 	m := pd.m
 	for {
 		select {
 		case won = <-pd.estab:
-			return r, won, nil
-		case r = <-pd.resp:
+			return hs, won, nil
+		case hs = <-pd.resp:
 		case err = <-pd.dead:
-			return r, nil, err
+			return hs, nil, err
 		case <-m.done:
-			return r, nil, ErrClosed
+			return hs, nil, ErrClosed
 		}
-		hs := &r.hs
 		switch {
 		case hs.ReqType == packet.HSCookie && m.keys != nil:
 			// Swap the retransmission buffer out from under the wheel:
@@ -573,19 +542,19 @@ func (pd *pendingDial) await() (r hsResp, won *Conn, err error) {
 				err = pd.start()
 			}
 			if err != nil {
-				return r, nil, err
+				return hs, nil, err
 			}
 		case hs.ReqType != packet.HSResponse:
 			// A challenge nobody asked for is not an answer; keep waiting.
 		case m.keys == nil:
-			return r, nil, nil
+			return hs, nil, nil
 		case !hs.Sec():
 			if !m.cfg.AllowUnauth {
 				err = errAuthRequired
 			}
-			return r, nil, err // else: peer is paper-era; negotiate down to clear
-		case verifyHandshakeHS(m.keys, hs, pd.req.Nonce[:]):
-			return r, nil, nil
+			return hs, nil, err // else: peer runs without a PSK; negotiate down to clear
+		case verifyHandshakeHS(m.keys, &hs, pd.req.Nonce[:]):
+			return hs, nil, nil
 		default:
 			m.authRejects.Add(1) // forged or corrupt; keep waiting for the real one
 		}
@@ -615,10 +584,10 @@ func (m *Mux) connect(pd *pendingDial) (*Conn, error) {
 	}
 
 	pd.deadline = pd.shard.clock.Now() + m.cfg.HandshakeTimeout.Microseconds()
-	var r hsResp
+	var resp packet.Handshake
 	var won *Conn
 	if err = pd.start(); err == nil {
-		r, won, err = pd.await()
+		resp, won, err = pd.await()
 		pd.shard.detach(pd)
 	}
 	if !m.retire(pd) && won == nil {
@@ -635,21 +604,16 @@ func (m *Mux) connect(pd *pendingDial) (*Conn, error) {
 		return nil, err
 	}
 
-	flow.peerID = r.hs.SockID
-	if flow.peerID == 0 {
-		// Old peer: its datagrams arrive bare; route them by address.
-		flow.addrKey = r.fromKey
-		m.core.RegisterAddr(flow.addrKey, flow)
-	}
+	flow.peerID = resp.SockID
 	var conn *Conn
 	m.mu.Lock()
 	err = ErrClosed
 	if !m.closed {
-		conn, err = m.establishLocked(flow, &pd.req, &r.hs)
+		conn, err = m.establishLocked(flow, &pd.req, &resp)
 	}
 	m.mu.Unlock()
 	if err != nil {
-		m.release(flow) // the demux registrations; there is no conn yet
+		m.release(flow) // the demux registration; there is no conn yet
 	}
 	return conn, err
 }
@@ -700,7 +664,7 @@ func (m *Mux) retire(pd *pendingDial) bool {
 // what is pinned for re-answers and put on the wire is exactly what the
 // connection was built from. Callers hold m.mu and have checked m.closed.
 func (m *Mux) establishLocked(flow *muxFlow, ours, theirs *packet.Handshake) (*Conn, error) {
-	cfg := m.flowConfig(ours.Ext())
+	cfg := m.flowConfig()
 	// Negotiate downwards.
 	if int(theirs.MSS) < cfg.MSS && theirs.MSS >= 96 {
 		cfg.MSS = int(theirs.MSS)
@@ -814,8 +778,13 @@ func (m *Mux) Close() error {
 	return err
 }
 
-// handleHandshake receives every bare handshake control packet on the
-// shared socket, on the read-loop goroutine.
+// handleHandshake receives every handshake control packet on the shared
+// socket, on the read-loop goroutine. A request or response must advertise
+// a valid socket ID — the only address a flow has; one that does not is
+// counted as an unknown destination and dropped here, before the cookie
+// gate, any map-key formatting or any allocation, so it gets no reply and
+// leaves no state. (A cookie challenge legitimately carries only
+// PeerSockID.)
 func (m *Mux) handleHandshake(raw []byte, from net.Addr) {
 	ctrl, err := packet.DecodeControl(raw)
 	if err != nil {
@@ -825,13 +794,15 @@ func (m *Mux) handleHandshake(raw []byte, from net.Addr) {
 	if err != nil || hs.Version != packet.Version {
 		return
 	}
+	if hs.ReqType != packet.HSCookie && !mux.IDValid(hs.SockID) {
+		m.core.CountUnknownDest()
+		return
+	}
 	switch hs.ReqType {
-	case packet.HSResponse:
-		m.completeDial(hs, from)
-	case packet.HSCookie:
-		// A listener's stateless challenge to one of our dials; the dialing
-		// goroutine echoes the cookie in a fresh request.
-		m.completeDial(hs, from)
+	case packet.HSResponse, packet.HSCookie:
+		// An answer to one of our dials, or a listener's stateless challenge
+		// to it (the dialing goroutine echoes the cookie in a fresh request).
+		m.completeDial(hs)
 	case packet.HSRequest:
 		if hs.Rdv() {
 			m.rendezvousCross(hs, from, raw)
@@ -895,31 +866,18 @@ func (m *Mux) gateRequest(hs *packet.Handshake, from net.Addr, raw []byte) bool 
 }
 
 // completeDial routes a handshake addressed to one of our dials — a
-// response, or a cookie challenge — to the goroutine waiting in await. A
-// Mux-backed peer echoes our socket ID in PeerSockID — an exact table
-// match; an old peer's 28-byte response is matched by connection ID and
-// source address.
-func (m *Mux) completeDial(hs packet.Handshake, from net.Addr) {
+// response, or a cookie challenge — to the goroutine waiting in await. The
+// peer echoes our socket ID in PeerSockID: an exact table match, checked
+// against the connection ID.
+func (m *Mux) completeDial(hs packet.Handshake) {
 	m.mu.Lock()
-	var pd *pendingDial
-	if hs.PeerSockID != 0 {
-		if p := m.pending[hs.PeerSockID]; p != nil && p.req.ConnID == hs.ConnID {
-			pd = p
-		}
-	} else {
-		for _, p := range m.pending {
-			if p.req.ConnID == hs.ConnID && addrEqual(from, p.flow.raddr) {
-				pd = p
-				break
-			}
-		}
-	}
+	pd := m.pending[hs.PeerSockID]
 	m.mu.Unlock()
-	if pd == nil {
+	if pd == nil || pd.req.ConnID != hs.ConnID {
 		return
 	}
 	select {
-	case pd.resp <- hsResp{hs: hs, fromKey: from.String()}:
+	case pd.resp <- hs:
 	default: // duplicate response; the first one won
 	}
 }
@@ -969,20 +927,12 @@ func (m *Mux) answerRequest(hs packet.Handshake, from net.Addr, raw []byte) {
 			ConnID:     hs.ConnID,
 			PeerSockID: hs.SockID,
 		}
-		if hs.Ext() {
-			flow.id = m.core.AllocID(m.randInt31, flow)
-			resp.SockID = flow.id
-		} else {
-			// Old client: it gets the 28-byte reply, and everything it sends
-			// is bare — routed by address, the one route that costs an
-			// Addr.String() per datagram.
-			flow.addrKey = from.String()
-			m.core.RegisterAddr(flow.addrKey, flow)
-		}
+		flow.id = m.core.AllocID(m.randInt31, flow)
+		resp.SockID = flow.id
 		var err error
 		if fresh, err = m.establishLocked(flow, &resp, &hs); err != nil {
 			m.mu.Unlock()
-			m.release(flow) // the demux registrations; there is no conn yet
+			m.release(flow) // the demux registration; there is no conn yet
 			return
 		}
 	}

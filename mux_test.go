@@ -3,7 +3,6 @@ package udt
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,46 +15,6 @@ import (
 	"udt/internal/mux"
 	"udt/internal/packet"
 )
-
-// fakeAddr is a non-UDP net.Addr for addrEqual's string-compare arm.
-type fakeAddr struct{ network, str string }
-
-func (a fakeAddr) Network() string { return a.network }
-func (a fakeAddr) String() string  { return a.str }
-
-func TestAddrEqual(t *testing.T) {
-	udp := func(ip string, port int) *net.UDPAddr {
-		return &net.UDPAddr{IP: net.ParseIP(ip), Port: port}
-	}
-	same := udp("10.0.0.1", 9000)
-	cases := []struct {
-		name string
-		a, b net.Addr
-		want bool
-	}{
-		{"identity", same, same, true},
-		{"equal udp", udp("10.0.0.1", 9000), udp("10.0.0.1", 9000), true},
-		{"mapped v4-in-v6 left", udp("::ffff:127.0.0.1", 7), udp("127.0.0.1", 7), true},
-		{"mapped v4-in-v6 right", udp("127.0.0.1", 7), udp("::ffff:127.0.0.1", 7), true},
-		{"port differs", udp("127.0.0.1", 7), udp("127.0.0.1", 8), false},
-		{"ip differs", udp("127.0.0.1", 7), udp("127.0.0.2", 7), false},
-		{"nil left", nil, udp("127.0.0.1", 7), false},
-		{"nil right", udp("127.0.0.1", 7), nil, false},
-		{"both nil", nil, nil, true},
-		{"udp vs same-string fake", udp("127.0.0.1", 7), fakeAddr{"udp", "127.0.0.1:7"}, true},
-		{"udp vs other-network fake", udp("127.0.0.1", 7), fakeAddr{"netem", "127.0.0.1:7"}, false},
-		{"fake vs fake equal", fakeAddr{"netem", "a"}, fakeAddr{"netem", "a"}, true},
-		{"fake vs fake differ", fakeAddr{"netem", "a"}, fakeAddr{"netem", "b"}, false},
-	}
-	for _, tc := range cases {
-		if got := addrEqual(tc.a, tc.b); got != tc.want {
-			t.Errorf("%s: addrEqual = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := addrEqual(tc.b, tc.a); got != tc.want {
-			t.Errorf("%s (swapped): addrEqual = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
 
 // newLoopbackMux builds a Mux on a fresh 127.0.0.1 UDP socket.
 func newLoopbackMux(t *testing.T, cfg *Config) *Mux {
@@ -231,67 +190,51 @@ func TestMuxManyFlowsStress(t *testing.T) {
 	}
 }
 
-// TestMuxAcceptsOldClient checks the compatibility path for paper-era
-// clients — the listener's by-address route — with a hand-rolled client on
-// a raw UDP socket (every client in this package now speaks the extended
-// handshake): a 28-byte request gets a 28-byte response, a bare data packet
-// reaches the accepted connection, and everything that comes back is
-// unprefixed. The flow must run bare, routed by the client's address.
-func TestMuxAcceptsOldClient(t *testing.T) {
-	ln, err := Listen("127.0.0.1:0", nil)
+// encodeHS encodes a handshake for a hand-rolled peer; bare cuts it down to
+// the paper's own 28-byte body, which no encoder produces any more.
+func encodeHS(t *testing.T, hs *packet.Handshake, bare bool) []byte {
+	t.Helper()
+	out := make([]byte, hsBufSize)
+	n, err := packet.EncodeHandshake(out, hs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	if bare {
+		n = packet.CtrlHeaderSize + 28
+	}
+	return out[:n]
+}
 
-	acceptErr := make(chan error, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			acceptErr <- fmt.Errorf("accept: %w", err)
-			return
-		}
-		// No Close here: it would race the queued reply with the shutdown
-		// notice; ln.Close tears the connection down at test end.
-		buf := make([]byte, 5)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			acceptErr <- fmt.Errorf("server read: %w", err)
-			return
-		}
-		if string(buf) != "hello" {
-			acceptErr <- fmt.Errorf("server got %q", buf)
-			return
-		}
-		if _, err := c.Write([]byte("world")); err != nil {
-			acceptErr <- fmt.Errorf("server write: %w", err)
-			return
-		}
-		acceptErr <- nil
-	}()
+// wantCounters waits for a Mux's drop counters to reach exactly the given
+// totals — each refused datagram is counted once, under one name.
+func wantCounters(t *testing.T, m *Mux, unknown, short uint64) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("drop counters never reached (%d, %d)", unknown, short), func() bool {
+		u, s := m.Counters()
+		return u == unknown && s == short
+	})
+}
 
-	cli, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+// TestMuxRefusesBareHandshake pins the one wire format: a flow exists only
+// between two endpoints that both advertised a valid socket ID. A request
+// without one — the paper's 28-byte handshake, or the extended body with a
+// zero or out-of-space ID — gets no reply and leaves no state behind; a
+// response or rendezvous crossing without one is not an answer, and the
+// dial completes on the real response that follows. Each refusal moves
+// exactly one counter by one.
+func TestMuxRefusesBareHandshake(t *testing.T) {
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-	cli.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	// recv reads the next datagram, which — like everything an old client
-	// is sent — must not carry a socket-ID prefix.
+	defer peer.Close()
 	in := make([]byte, 65536)
-	recv := func() []byte {
-		t.Helper()
-		n, _, err := cli.ReadFrom(in)
-		if err != nil {
-			t.Fatalf("old client read: %v", err)
-		}
-		if mux.IDValid(int32(binary.BigEndian.Uint32(in))) {
-			t.Fatalf("old client was sent a socket-ID-prefixed datagram: % x", in[:n])
-		}
-		return in[:n]
-	}
 
-	// The paper-era handshake: base fields only, no socket ID.
-	const oldHS = packet.CtrlHeaderSize + packet.HandshakeBody
+	// Listener side.
+	m := newLoopbackMux(t, nil)
+	if _, err := m.Listen(); err != nil {
+		t.Fatal(err)
+	}
 	req := packet.Handshake{
 		Version:    packet.Version,
 		InitSeq:    1000,
@@ -300,162 +243,83 @@ func TestMuxAcceptsOldClient(t *testing.T) {
 		ReqType:    packet.HSRequest,
 		ConnID:     77,
 	}
-	out := make([]byte, 1500)
-	n, err := packet.EncodeHandshake(out, &req, 0)
-	if err != nil || n != oldHS {
-		t.Fatalf("old-style request is %d bytes (err %v), want %d", n, err, oldHS)
+	peer.WriteTo(encodeHS(t, &req, true), m.Addr()) //nolint:errcheck
+	wantCounters(t, m, 0, 1)
+	peer.WriteTo(encodeHS(t, &req, false), m.Addr()) //nolint:errcheck
+	wantCounters(t, m, 1, 1)
+	req.SockID = 5                                   // nonzero, but a control packet's first word, not an ID
+	peer.WriteTo(encodeHS(t, &req, false), m.Addr()) //nolint:errcheck
+	wantCounters(t, m, 2, 1)
+	// Replies are sent from the read loop before the next datagram is
+	// counted, so anything owed to the first two requests is already queued.
+	peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck
+	if n, _, err := peer.ReadFrom(in); err == nil {
+		t.Fatalf("a request without a socket ID was answered: % x", in[:n])
 	}
-	if _, err := cli.WriteTo(out[:n], ln.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	raw := recv()
-	if len(raw) != oldHS || !packet.IsHandshake(raw) {
-		t.Fatalf("response is %d bytes, want the %d-byte paper-era handshake", len(raw), oldHS)
-	}
-	ctrl, err := packet.DecodeControl(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := packet.DecodeHandshake(ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ReqType != packet.HSResponse || resp.ConnID != req.ConnID || resp.Ext() {
-		t.Fatalf("response = %+v, want a bare response to conn %d", resp, req.ConnID)
+	m.mu.Lock()
+	accepted, conns := len(m.accepted), len(m.conns)
+	m.mu.Unlock()
+	if m.Flows() != 0 || accepted != 0 || conns != 0 {
+		t.Fatalf("refused requests left state: Flows=%d accepted=%d conns=%d", m.Flows(), accepted, conns)
 	}
 
-	// One bare data packet out; the server's reply comes back bare too
-	// (behind whatever bare control packets recv lets through).
-	n, err = packet.EncodeData(out, &packet.Data{Seq: req.InitSeq, Payload: []byte("hello")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.WriteTo(out[:n], ln.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		raw := recv()
-		if packet.IsControl(raw) {
-			continue
-		}
-		d, err := packet.DecodeData(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Seq != resp.InitSeq || string(d.Payload) != "world" {
-			t.Fatalf("client got seq %d %q, want seq %d \"world\"", d.Seq, d.Payload, resp.InitSeq)
-		}
-		break
-	}
-	if err := <-acceptErr; err != nil {
-		t.Fatal(err)
-	}
-	// The accepted flow is address-routed, not in the socket-ID table.
-	if got := ln.m.Flows(); got != 0 {
-		t.Errorf("listener mux Flows() = %d, want 0 (bare client is addr-routed)", got)
-	}
-}
-
-// TestMuxDialsOldServer checks Mux.Dial against a peer that ignores the
-// handshake extension and replies with the paper-era 28-byte handshake:
-// the dialed flow must negotiate down to bare datagrams.
-func TestMuxDialsOldServer(t *testing.T) {
-	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	type dataResult struct {
-		payload []byte
-		err     error
-	}
-	dataCh := make(chan dataResult, 1)
+	// Dialing side: a rendezvous dial, so a crossing request is in play too.
+	d := newLoopbackMux(t, nil)
+	dialed := make(chan *Conn, 1)
 	go func() {
-		buf := make([]byte, 65536)
-		answered := false
-		for {
-			n, from, err := srv.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			raw := buf[:n]
-			if packet.IsHandshake(raw) {
-				ctrl, err := packet.DecodeControl(raw)
-				if err != nil {
-					dataCh <- dataResult{err: err}
-					return
-				}
-				hs, err := packet.DecodeHandshake(ctrl)
-				if err != nil {
-					dataCh <- dataResult{err: err}
-					return
-				}
-				if !hs.Ext() {
-					dataCh <- dataResult{err: fmt.Errorf("request lacks socket-ID extension")}
-					return
-				}
-				// Answer like an old server: base fields only, SockID zero.
-				resp := packet.Handshake{
-					Version:    packet.Version,
-					InitSeq:    hs.InitSeq,
-					MSS:        hs.MSS,
-					FlowWindow: hs.FlowWindow,
-					ReqType:    -1,
-					ConnID:     hs.ConnID,
-				}
-				out := make([]byte, 64)
-				wn, err := packet.EncodeHandshake(out, &resp, 0)
-				if err != nil {
-					dataCh <- dataResult{err: err}
-					return
-				}
-				if wn != packet.CtrlHeaderSize+packet.HandshakeBody {
-					dataCh <- dataResult{err: fmt.Errorf("old-style response is %d bytes", wn)}
-					return
-				}
-				srv.WriteTo(out[:wn], from) //nolint:errcheck
-				answered = true
-				continue
-			}
-			if !answered || packet.IsControl(raw) {
-				continue // keep-alives etc.; we want the first data packet
-			}
-			// A bare data packet: the first word must NOT be a socket-ID
-			// prefix, and the payload must decode in place.
-			if mux.IDValid(int32(uint32(raw[0])<<24 | uint32(raw[1])<<16 | uint32(raw[2])<<8 | uint32(raw[3]))) {
-				dataCh <- dataResult{err: fmt.Errorf("data packet arrived socket-ID prefixed")}
-				return
-			}
-			d, err := packet.DecodeData(raw)
-			if err != nil {
-				dataCh <- dataResult{err: err}
-				return
-			}
-			dataCh <- dataResult{payload: append([]byte(nil), d.Payload...)}
-			return
+		c, err := d.Rendezvous(peer.LocalAddr())
+		if err != nil {
+			t.Errorf("rendezvous: %v", err)
 		}
+		dialed <- c
 	}()
-
-	m := newLoopbackMux(t, &Config{Rand: rand.New(rand.NewSource(7))})
-	c, err := m.Dial(srv.LocalAddr())
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	n, _, err := peer.ReadFrom(in)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ctrl, err := packet.DecodeControl(in[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dreq, err := packet.DecodeHandshake(ctrl)
+	if err != nil || !mux.IDValid(dreq.SockID) {
+		t.Fatalf("dialer's request = %+v (err %v), want a valid SockID", dreq, err)
+	}
+	const peerISN = 424242
+	resp := packet.Handshake{
+		Version:    packet.Version,
+		InitSeq:    peerISN + 1, // not the sequence space the data below is in
+		MSS:        dreq.MSS,
+		FlowWindow: dreq.FlowWindow,
+		ReqType:    packet.HSResponse,
+		ConnID:     dreq.ConnID,
+		PeerSockID: dreq.SockID,
+	}
+	cross := resp
+	cross.ReqType, cross.RdvFlags = packet.HSRequest, packet.RdvDial // RdvNonce 0 loses the tie-break: accepted, it would be answered
+	peer.WriteTo(encodeHS(t, &resp, true), d.Addr())                 //nolint:errcheck
+	peer.WriteTo(encodeHS(t, &resp, false), d.Addr())                //nolint:errcheck
+	peer.WriteTo(encodeHS(t, &cross, false), d.Addr())               //nolint:errcheck
+	resp.InitSeq, resp.SockID = peerISN, mux.MakeID(1)
+	peer.WriteTo(encodeHS(t, &resp, false), d.Addr()) //nolint:errcheck
+	c := <-dialed
+	if c == nil {
+		t.FailNow()
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte("bare wire")); err != nil {
+	wantCounters(t, d, 2, 1)
+	// Deliverable only if the connection was built from the last response.
+	data := make([]byte, 64)
+	mux.PutDest(data, dreq.SockID)
+	n, err = packet.EncodeData(data[mux.DestPrefix:], &packet.Data{Seq: peerISN, Payload: []byte("ok")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case r := <-dataCh:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if string(r.payload) != "bare wire" {
-			t.Fatalf("old server received %q", r.payload)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("old server never received the data packet")
+	peer.WriteTo(data[:mux.DestPrefix+n], d.Addr()) //nolint:errcheck
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ok" {
+		t.Fatalf("read %q, %v; want \"ok\" in the real response's sequence space", buf, err)
 	}
 }
 
@@ -471,10 +335,11 @@ func TestMuxDialIgnoresStrayCookie(t *testing.T) {
 	defer srv.Close()
 
 	// The server answers the first request with the challenge and the
-	// retransmitted one like an old server would (bare wire format, so the
-	// data packet below needs no prefix).
+	// retransmitted one with a response; dialID carries the dial's socket ID
+	// out, for the data packet below.
 	const srvISN = 424242
 	out := make([]byte, 1500)
+	dialID := make(chan int32, 1)
 	go func() {
 		buf := make([]byte, 65536)
 		for reqs := 0; ; reqs++ {
@@ -506,12 +371,15 @@ func TestMuxDialIgnoresStrayCookie(t *testing.T) {
 					FlowWindow: hs.FlowWindow,
 					ReqType:    packet.HSResponse,
 					ConnID:     hs.ConnID,
+					SockID:     mux.MakeID(1),
+					PeerSockID: hs.SockID,
 				}
 			}
 			if n, err = packet.EncodeHandshake(out, &reply, 0); err == nil {
 				srv.WriteTo(out[:n], from) //nolint:errcheck
 			}
 			if reqs > 0 {
+				dialID <- hs.SockID
 				return
 			}
 		}
@@ -526,11 +394,12 @@ func TestMuxDialIgnoresStrayCookie(t *testing.T) {
 	// The first data packet of the response's sequence space is deliverable
 	// only if the connection was built from the response.
 	data := make([]byte, 64)
-	n, err := packet.EncodeData(data, &packet.Data{Seq: srvISN, Payload: []byte("ok")})
+	mux.PutDest(data, <-dialID)
+	n, err := packet.EncodeData(data[mux.DestPrefix:], &packet.Data{Seq: srvISN, Payload: []byte("ok")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.WriteTo(data[:n], m.Addr()); err != nil {
+	if _, err := srv.WriteTo(data[:mux.DestPrefix+n], m.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan string, 1)
@@ -589,28 +458,23 @@ func TestMuxDropCounters(t *testing.T) {
 	ghost := make([]byte, mux.DestPrefix+packet.DataHeaderSize+4)
 	mux.PutDest(ghost, mux.MakeID(0x23456789))
 	send(ghost)
-	// Bare control (keep-alive) from an address with no bare flow.
+	// A control packet (keep-alive) without a socket ID: no flow's.
 	ka := make([]byte, 64)
 	n, err := packet.EncodeSimple(ka, packet.TypeKeepAlive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	send(ka[:n])
+	// A handshake too short to carry the socket-ID words, and a full-size
+	// request that advertises none.
+	req := packet.Handshake{Version: packet.Version, ReqType: packet.HSRequest, ConnID: 9}
+	send(encodeHS(t, &req, true))
+	send(encodeHS(t, &req, false))
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		unknown, short := ma.Counters()
-		if unknown == 2 && short == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drop counters = (%d, %d), want (2, 2)", unknown, short)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	wantCounters(t, ma, 3, 3)
 	st := c.Stats()
-	if st.MuxUnknownDest != 2 || st.MuxShortDatagram != 2 {
-		t.Errorf("Stats mux counters = (%d, %d), want (2, 2)",
+	if st.MuxUnknownDest != 3 || st.MuxShortDatagram != 3 {
+		t.Errorf("Stats mux counters = (%d, %d), want (3, 3)",
 			st.MuxUnknownDest, st.MuxShortDatagram)
 	}
 }

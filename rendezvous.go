@@ -142,7 +142,7 @@ func (m *Mux) rdvAccept(pd *pendingDial, hs packet.Handshake, from net.Addr, key
 		return
 	}
 	flow := pd.flow
-	flow.peerID = hs.SockID
+	flow.peerID = hs.SockID // validated by handleHandshake
 	flow.acceptKey = key
 	// The response reuses the ISN our retransmitting request advertises,
 	// so the peer computes the same sequence state from either packet.

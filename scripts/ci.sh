@@ -13,6 +13,9 @@ go build ./...
 # The root package's non-test line count — the shells around the one
 # engine — is a tracked outcome (ROADMAP, "quality of design").
 echo "root package non-test Go lines: $(ls *.go | grep -v _test | xargs wc -l | tail -1)"
+# And the one wire format's share of it: the shell, the demultiplexer and
+# the codec together.
+echo "root + internal/mux + internal/packet non-test Go lines: $(ls *.go internal/mux/*.go internal/packet/*.go | grep -v _test | xargs wc -l | tail -1)"
 # So is what is left of the test-only shells (chaos.Peer and the
 # virtual-clock drivers), and the whole tree outside the frozen benchmark.
 echo "chaos + campaign non-test Go lines: $(ls internal/netem/chaos/*.go internal/campaign/*.go | grep -v _test | xargs wc -l | tail -1)"
@@ -37,7 +40,10 @@ go run ./scripts/mdcheck
 # Fast fail on the concurrency-heavy packages first: the demultiplexer and
 # the chaos harness in short mode, before the full (slower) race run.
 go test -race -short ./internal/mux ./internal/netem/chaos
-go test -race ./...
+# TestCISetDigestsPinned is a single-threaded virtual-clock run the detector
+# only slows (~30 s against under 1 s): skipped here, run once plain below.
+go test -race -skip '^TestCISetDigestsPinned$' ./...
+go test -run '^TestCISetDigestsPinned$' -count=1 ./internal/campaign
 # The sealed channel again on the portable GCM (no AES/GHASH assembly): the
 # known-answer vectors, the tamper table and the 0 allocs/packet gate must
 # hold on the path a CPU without those instructions takes.
@@ -53,6 +59,10 @@ go test ./internal/packet -run XXX -fuzz 'FuzzRendezvousTrailer' -fuzztime 10s
 # The GRO split walks a kernel-coalesced train by a segment size that
 # arrives in a cmsg; any (length, size) pair must yield in-bounds segments.
 go test . -run XXX -fuzz 'FuzzSplitSegments' -fuzztime 10s
+# The demultiplexer sees every datagram anyone sends the socket: it must
+# never panic, deliver exactly what is behind the prefix, and account for
+# each datagram once (delivered, handshake, unknown destination or short).
+go test ./internal/mux -run XXX -fuzz 'FuzzCoreDispatch' -fuzztime 10s
 # Offload smoke: proves UDP_SEGMENT trains actually flow on capable
 # kernels and prints the train/syscall verdict; the test skips itself
 # (never fails) where the kernel or container runtime withholds

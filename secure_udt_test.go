@@ -322,9 +322,9 @@ func TestSecureInjectedControlDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject through the client's endpoint so the forgery arrives on the
-	// server's real read loop, like any wire datagram. Bare — what a
-	// paper-era attacker would send — it matches no route: the
-	// demultiplexer counts it and the connection never sees it.
+	// server's real read loop, like any wire datagram. Bare — no socket ID
+	// ahead of it — it belongs to no flow: the demultiplexer counts it and
+	// the connection never sees it.
 	unrouted := p.server.Stats().MuxUnknownDest
 	if _, err := p.epC.WriteTo(forged[:n], p.saddr); err != nil {
 		t.Fatal(err)

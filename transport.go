@@ -25,34 +25,6 @@ type PacketConn interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// addrEqual reports whether two transport addresses denote the same peer.
-// It is symmetric in all cases:
-//
-//   - interface identity (netem endpoints hand out one *Addr for life);
-//   - two *net.UDPAddr compare by port and net.IP.Equal, so an
-//     IPv4-in-IPv6 mapped address (::ffff:127.0.0.1) equals its IPv4 form
-//     regardless of which side of the comparison it appears on;
-//   - otherwise — mixed *net.UDPAddr vs another implementation, or two
-//     non-UDP implementations — by Network() and String() form. A non-UDP
-//     addr can therefore deliberately impersonate a UDP peer by reporting
-//     network "udp" and the same host:port string (proxied transports rely
-//     on this), but zone-less string forms of mapped addresses still match
-//     because net.IP.String() prints them in dotted-quad form.
-func addrEqual(a, b net.Addr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	au, aok := a.(*net.UDPAddr)
-	bu, bok := b.(*net.UDPAddr)
-	if aok && bok {
-		return udpAddrEqual(au, bu)
-	}
-	return a.Network() == b.Network() && a.String() == b.String()
-}
-
 // DialOn performs the UDT client handshake to raddr over the supplied
 // transport and returns the established connection. It is Dial for
 // arbitrary datagram fabrics: pass a *net.UDPConn for a custom-tuned
@@ -90,9 +62,8 @@ func connectOn(pc PacketConn, raddr net.Addr, cfg *Config, connect func(*Mux, ne
 
 // ListenOn starts a UDT listener on the supplied transport. It is Listen
 // for arbitrary datagram fabrics; all accepted connections share pc,
-// demultiplexed by socket ID (multiplexing clients) or peer address
-// (paper-era clients). ListenOn takes ownership of pc — it is closed by
-// Listener.Close — and cfg may be nil for defaults.
+// demultiplexed by socket ID. ListenOn takes ownership of pc — it is
+// closed by Listener.Close — and cfg may be nil for defaults.
 func ListenOn(pc PacketConn, cfg *Config) (*Listener, error) {
 	m, err := NewMux(pc, cfg)
 	if err != nil {

@@ -125,7 +125,8 @@ type Config struct {
 	PSK []byte
 	// AllowUnauth lets a PSK-configured endpoint negotiate down to the
 	// clear protocol when the peer does not authenticate: a listener
-	// accepts paper-era requests, a dialer accepts paper-era responses.
+	// accepts requests without the authentication option, a dialer accepts
+	// such responses.
 	// Off (the default, with PSK set), unauthenticated peers are refused:
 	// listeners drop their requests silently and dials fail.
 	AllowUnauth bool
@@ -139,9 +140,8 @@ type Config struct {
 	AEAD bool
 
 	// sockID is this endpoint's socket ID on its Mux's socket, filled in
-	// before the connection is wired; zero for a flow accepted from a
-	// paper-era client. It flows into the engine (and perf records) via
-	// coreConfig.
+	// before the connection is wired. It flows into the engine (and perf
+	// records) via coreConfig.
 	sockID int32
 }
 
@@ -289,12 +289,18 @@ type Stats struct {
 	// transport such as netem.
 	UDPRcvBufBytes int
 	UDPSndBufBytes int
-	// MuxUnknownDest and MuxShortDatagram count datagrams the shared
-	// socket's demultiplexer dropped — destination socket ID (or peer
-	// address) not in its tables, and datagrams too short to classify.
-	// They are socket-wide totals (every flow on the same Mux reports the
-	// same values); a dialed connection's private socket counts too.
-	MuxUnknownDest   uint64
+	// MuxUnknownDest counts datagrams the shared socket's demultiplexer
+	// dropped because they named no resident flow: a destination socket ID
+	// not in its table, a data or control packet with no socket ID at all,
+	// or a handshake request/response advertising no valid one. It is a
+	// socket-wide total (every flow on the same Mux reports the same
+	// value); a dialed connection's private socket counts too.
+	MuxUnknownDest uint64
+	// MuxShortDatagram counts datagrams the demultiplexer dropped as too
+	// short for their class: under the 4-byte prefix, a prefix with no
+	// packet header behind it, or a handshake without room for the
+	// socket-ID words (the paper's 28-byte body). Socket-wide, like
+	// MuxUnknownDest.
 	MuxShortDatagram uint64
 	// GSOEnabled reports whether the send path can hand the kernel
 	// segmentation-offload trains (UDP_SEGMENT) on this connection's

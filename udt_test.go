@@ -295,7 +295,7 @@ func (p *lossyProxy) run() {
 			}
 		}
 		p.mu.Lock()
-		fromServer := udpAddrEqual(from, p.serverAddr)
+		fromServer := from.Port == p.serverAddr.Port && from.IP.Equal(p.serverAddr.IP)
 		if !fromServer {
 			p.clientAddr = from
 		}
