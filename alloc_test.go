@@ -261,6 +261,77 @@ func TestGSOPackAllocs(t *testing.T) {
 	}
 }
 
+// TestMmsgSyscallAllocs gates the batched socket paths on a real loopback
+// UDP socket — the one thing the gates above, which send into discardSock,
+// never touch: the syscall bodies handed to the runtime poller must not
+// capture per-call state, or every sendmsg/sendmmsg/recvmmsg moves its
+// operands to the heap. It asserts on counts only, never on a duration.
+// Datagrams the receiving socket's buffer has no room for are dropped by
+// the kernel, which a UDP sender never hears about.
+func TestMmsgSyscallAllocs(t *testing.T) {
+	listen := func() *net.UDPConn {
+		u, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() }) //nolint:errcheck
+		return u
+	}
+	a, b := listen(), listen()
+	sender := newBatchSender(a, true)
+	reader := newBatchReader(b, 8, true, nil)
+	if sender == nil || reader == nil {
+		t.Skip("no sendmmsg/recvmmsg path on this platform")
+	}
+	bufs := make([][]byte, 8)
+	for i := range bufs {
+		bufs[i] = make([]byte, 1000)
+	}
+	to := b.LocalAddr()
+	got := 0
+	deliver := func(raw []byte, _ net.Addr, _ time.Time) { got += len(raw) }
+	writeBatch := func() {
+		if err := sender.writeBatch(bufs, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readBatch := func() {
+		if err := reader.readBatch(deliver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 32; i++ { // grow the header arrays, arm the deadline
+		writeBatch()
+		readBatch()
+	}
+	gate := func(name string, f func()) {
+		t.Helper()
+		avg := testing.AllocsPerRun(200, f)
+		t.Logf("%s: %.2f allocs/call", name, avg)
+		if avg != 0 {
+			t.Errorf("%s allocates %.2f objects per call, want 0", name, avg)
+		}
+	}
+	gate("writeBatch (sendmmsg, 8 datagrams)", writeBatch)
+	if sw, ok := sender.(segWriter); ok && sw.offloadActive() {
+		gate("writeSegments (sendmsg + UDP_SEGMENT, 8 segments)", func() {
+			if ok, err := sw.writeSegments(bufs, len(bufs[0]), to); !ok || err != nil {
+				t.Fatalf("writeSegments = %v, %v", ok, err)
+			}
+		})
+	} else {
+		t.Log("writeSegments: skipped, the UDP_SEGMENT probe failed on this socket")
+	}
+	got = 0
+	gate("readBatch (recvmmsg, data queued)", func() {
+		writeBatch() // measured at 0 above: what is left is the read
+		readBatch()
+	})
+	if got == 0 {
+		t.Fatal("readBatch delivered nothing; the gate proved nothing")
+	}
+}
+
 // BenchmarkSenderPacket measures the real send path end to end — encode
 // burst, socket write, ACK bookkeeping, control drain — in ns and allocs
 // per data packet (the socket is a stub, so this is pure protocol cost).

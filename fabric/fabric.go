@@ -18,6 +18,7 @@ package fabric
 
 import (
 	"net"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,16 +49,73 @@ func (timeoutError) Temporary() bool { return true }
 // ErrTimeout is the net.Error returned when a read deadline expires.
 var ErrTimeout net.Error = timeoutError{}
 
-// deadline is an atomically-updated read deadline shared by both adapters:
-// zero means none, otherwise the unix-microsecond instant.
-func deadlineChan(unixMicro int64) (<-chan time.Time, *time.Timer, bool) {
+// readTimer is an endpoint's read deadline — zero for none, otherwise the
+// unix-microsecond instant, updated atomically by SetReadDeadline — and the
+// one timer its blocked reader waits on. A timer per blocking read is three
+// allocations, and a UDT read loop blocks with a deadline set many times a
+// second; the endpoint makes one timer when it is built and re-arms it for
+// each such read. A reader that finds it taken — a second goroutine blocked
+// on the same endpoint — makes a timer of its own.
+type readTimer struct {
+	deadline atomic.Int64
+	busy     atomic.Bool // a blocked reader holds shared
+	shared   *time.Timer // set once by init; stopped and drained whenever busy is false
+}
+
+func (rt *readTimer) init() {
+	rt.shared = time.NewTimer(time.Hour)
+	rt.shared.Stop()
+}
+
+func (rt *readTimer) set(t time.Time) {
+	if t.IsZero() {
+		rt.deadline.Store(0)
+	} else {
+		rt.deadline.Store(t.UnixMicro())
+	}
+}
+
+// arm returns the timer a read about to block waits on, or nil when no
+// deadline is set; ok is false when the deadline has already passed. The
+// caller hands the timer back through release.
+func (rt *readTimer) arm() (tm *time.Timer, ok bool) {
+	unixMicro := rt.deadline.Load()
 	if unixMicro == 0 {
-		return nil, nil, true
+		return nil, true
 	}
 	d := time.Until(time.UnixMicro(unixMicro))
 	if d <= 0 {
-		return nil, nil, false
+		return nil, false
 	}
-	tm := time.NewTimer(d)
-	return tm.C, tm, true
+	if !rt.busy.CompareAndSwap(false, true) {
+		return time.NewTimer(d), true
+	}
+	rt.shared.Reset(d)
+	return rt.shared, true
+}
+
+// release ends the wait arm began: it stops tm (nil is a no-op) and, if it
+// is the endpoint's own, leaves it ready for the next arm. The module's
+// go 1.22 line keeps timer channels buffered, so a timer that fired must
+// have its tick taken out before it can be Reset — by the reader's select
+// (fired) or, if the read ended another way as the timer went off, here:
+// Stop reporting false promises the tick, possibly still on its way.
+func (rt *readTimer) release(tm *time.Timer, fired *bool) {
+	if tm == nil {
+		return
+	}
+	if !tm.Stop() && !*fired {
+		<-tm.C
+	}
+	if tm == rt.shared {
+		rt.busy.Store(false)
+	}
+}
+
+// timeout is tm's channel, or nil — which blocks forever — without a timer.
+func timeout(tm *time.Timer) <-chan time.Time {
+	if tm == nil {
+		return nil
+	}
+	return tm.C
 }

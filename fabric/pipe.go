@@ -43,7 +43,7 @@ type Pipe struct {
 	block    bool
 	closed   chan struct{}
 	once     sync.Once
-	deadline atomic.Int64 // unix µs; 0 = none
+	rt       readTimer
 	drops    atomic.Int64
 }
 
@@ -66,6 +66,8 @@ func NewPipe(cfg PipeConfig) (*Pipe, *Pipe) {
 	a := &Pipe{addr: Addr(cfg.AddrA), peerAddr: Addr(cfg.AddrB), in: make(chan *[]byte, cfg.Depth), free: free, max: cfg.MaxDatagram, block: cfg.Block, closed: make(chan struct{})}
 	b := &Pipe{addr: Addr(cfg.AddrB), peerAddr: Addr(cfg.AddrA), in: make(chan *[]byte, cfg.Depth), free: free, max: cfg.MaxDatagram, block: cfg.Block, closed: make(chan struct{})}
 	a.peer, b.peer = b, a
+	a.rt.init()
+	b.rt.init()
 	return a, b
 }
 
@@ -75,11 +77,7 @@ func (p *Pipe) LocalAddr() net.Addr { return p.addr }
 // SetReadDeadline sets the deadline for future and in-flight ReadFrom
 // calls; a zero time clears it.
 func (p *Pipe) SetReadDeadline(t time.Time) error {
-	if t.IsZero() {
-		p.deadline.Store(0)
-	} else {
-		p.deadline.Store(t.UnixMicro())
-	}
+	p.rt.set(t)
 	return nil
 }
 
@@ -93,13 +91,12 @@ func (p *Pipe) ReadFrom(b []byte) (int, net.Addr, error) {
 		return n, p.peerAddr, nil
 	default:
 	}
-	timeout, tm, ok := deadlineChan(p.deadline.Load())
+	tm, ok := p.rt.arm()
 	if !ok {
 		return 0, nil, ErrTimeout
 	}
-	if tm != nil {
-		defer tm.Stop()
-	}
+	fired := false
+	defer p.rt.release(tm, &fired)
 	select {
 	case buf := <-p.in:
 		n := copy(b, *buf)
@@ -107,7 +104,8 @@ func (p *Pipe) ReadFrom(b []byte) (int, net.Addr, error) {
 		return n, p.peerAddr, nil
 	case <-p.closed:
 		return 0, nil, net.ErrClosed
-	case <-timeout:
+	case <-timeout(tm):
+		fired = true
 		return 0, nil, ErrTimeout
 	}
 }

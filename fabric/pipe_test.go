@@ -163,8 +163,63 @@ func TestPipeBlocking(t *testing.T) {
 	}
 }
 
+// TestPipeConcurrentReaders blocks several readers on one endpoint with a
+// deadline set: only one of them can hold the endpoint's own timer, and every
+// one must still see the deadline — and, after it, data.
+func TestPipeConcurrentReaders(t *testing.T) {
+	a, b := NewPipe(PipeConfig{})
+	defer a.Close() //nolint:errcheck
+	defer b.Close() //nolint:errcheck
+	const readers = 4
+	for round := 0; round < 3; round++ {
+		b.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
+		errs := make(chan error, readers)
+		for i := 0; i < readers; i++ {
+			go func() {
+				_, _, err := b.ReadFrom(make([]byte, 16))
+				errs <- err
+			}()
+		}
+		for i := 0; i < readers; i++ {
+			select {
+			case err := <-errs:
+				var ne net.Error
+				if !errors.As(err, &ne) || !ne.Timeout() {
+					t.Fatalf("round %d: err = %v, want a timeout", round, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: %d of %d blocked readers never saw the deadline", round, readers-i, readers)
+			}
+		}
+	}
+	b.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck
+	got := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			_, _, err := b.ReadFrom(make([]byte, 16))
+			got <- err
+		}()
+	}
+	for i := 0; i < readers; i++ {
+		a.WriteTo([]byte{byte(i)}, nil) //nolint:errcheck
+	}
+	for i := 0; i < readers; i++ {
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a reader blocked under a distant deadline missed its datagram")
+		}
+	}
+}
+
 // TestPipeAllocs gates the zero-allocation discipline on the pipe's hot
-// path: with data queued, WriteTo + ReadFrom recycle every buffer.
+// path: with data queued, WriteTo + ReadFrom recycle every buffer; and a
+// read that has to block with a deadline set — what a UDT read loop does
+// whenever its flows go quiet — re-arms the endpoint's timer instead of
+// making one.
 func TestPipeAllocs(t *testing.T) {
 	a, b := NewPipe(PipeConfig{})
 	defer a.Close() //nolint:errcheck
@@ -182,5 +237,35 @@ func TestPipeAllocs(t *testing.T) {
 	})
 	if avg > 0.01 {
 		t.Fatalf("pipe data path allocates %.3f allocs/packet, want 0", avg)
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		b.SetReadDeadline(time.Now().Add(200 * time.Microsecond)) //nolint:errcheck
+		if _, _, err := b.ReadFrom(buf); err != ErrTimeout {
+			t.Fatalf("read of an empty pipe: %v, want the deadline", err)
+		}
+	})
+	t.Logf("blocking read that meets its deadline: %.2f allocs/read", avg)
+	if avg > 0.01 {
+		t.Fatalf("blocking read that meets its deadline allocates %.3f allocs/read, want 0", avg)
+	}
+	// Woken by data instead: the writer waits until the reader has asked.
+	kick := make(chan struct{})
+	go func() {
+		for range kick {
+			time.Sleep(100 * time.Microsecond)
+			a.WriteTo(msg, nil) //nolint:errcheck
+		}
+	}()
+	defer close(kick)
+	b.SetReadDeadline(time.Now().Add(time.Minute)) //nolint:errcheck
+	avg = testing.AllocsPerRun(100, func() {
+		kick <- struct{}{}
+		if _, _, err := b.ReadFrom(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("blocking read woken by data: %.2f allocs/read", avg)
+	if avg > 0.01 {
+		t.Fatalf("blocking read woken by data allocates %.3f allocs/read, want 0", avg)
 	}
 }

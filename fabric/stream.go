@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -44,9 +43,9 @@ type Framed struct {
 	wmu  sync.Mutex
 	wbuf []byte // reused frame buffer: 4-byte length + payload
 
-	in       chan *[]byte // *[]byte (not []byte): a pointer recycles without boxing allocations
-	free     chan *[]byte // free list; a channel (not sync.Pool) so recycling works across goroutines and Ps
-	deadline atomic.Int64 // unix µs; 0 = none
+	in   chan *[]byte // *[]byte (not []byte): a pointer recycles without boxing allocations
+	free chan *[]byte // free list; a channel (not sync.Pool) so recycling works across goroutines and Ps
+	rt   readTimer
 
 	closed  chan struct{}
 	once    sync.Once
@@ -77,6 +76,7 @@ func NewFramed(rw io.ReadWriter, cfg FramedConfig) *Framed {
 		closed: make(chan struct{}),
 		dead:   make(chan struct{}),
 	}
+	f.rt.init()
 	go f.pump(cfg.MaxDatagram)
 	return f
 }
@@ -126,11 +126,7 @@ func (f *Framed) LocalAddr() net.Addr { return f.local }
 // SetReadDeadline sets the deadline for future and in-flight ReadFrom
 // calls; a zero time clears it.
 func (f *Framed) SetReadDeadline(t time.Time) error {
-	if t.IsZero() {
-		f.deadline.Store(0)
-	} else {
-		f.deadline.Store(t.UnixMicro())
-	}
+	f.rt.set(t)
 	return nil
 }
 
@@ -144,13 +140,12 @@ func (f *Framed) ReadFrom(b []byte) (int, net.Addr, error) {
 		return n, f.remote, nil
 	default:
 	}
-	timeout, tm, ok := deadlineChan(f.deadline.Load())
+	tm, ok := f.rt.arm()
 	if !ok {
 		return 0, nil, ErrTimeout
 	}
-	if tm != nil {
-		defer tm.Stop()
-	}
+	fired := false
+	defer f.rt.release(tm, &fired)
 	select {
 	case buf := <-f.in:
 		n := copy(b, *buf)
@@ -171,7 +166,8 @@ func (f *Framed) ReadFrom(b []byte) (int, net.Addr, error) {
 			return 0, nil, f.readErr
 		}
 		return 0, nil, io.EOF
-	case <-timeout:
+	case <-timeout(tm):
+		fired = true
 		return 0, nil, ErrTimeout
 	}
 }

@@ -52,10 +52,10 @@ type slotRing struct {
 	slots   int      // ring size: the buffer's capacity in packets
 	tab     []*chunk // tab[i] backs ring slots [i<<chunkShift, (i+1)<<chunkShift), nil while all are free
 	spare   *chunk   // recycled chunks, linked through next
-	nspare  int
-	live    int // chunks installed in tab
-	peak    int // most chunks live at once since the buffer was last empty
-	keep    int // spares kept when it last ran empty
+	nspare  int32
+	live    int32 // chunks installed in tab
+	peak    int32 // most chunks live at once since the buffer was last empty
+	keep    int32 // spares kept when it last ran empty
 }
 
 func newSlotRing(capacity, payload int) slotRing {
@@ -272,12 +272,19 @@ func (b *SndBuffer) Release(seq int32) int {
 type RcvBuffer struct {
 	slotRing
 	baseSeq int32 // sequence number of the first undelivered packet
-	baseIdx int
 	headOff int32 // bytes of the head packet already consumed by the reader
-	nstored int   // present slots
+	baseIdx int
+	nstored int // present slots
 
-	user     []byte // attached reader buffer, nil when detached
-	userPkts int32  // how many packet slots fit in user
+	// The in-order run: the packets present without a gap from baseSeq on,
+	// which is what the reader can have. Store extends it (absorbing any
+	// island the arrival joins it to, each slot once), consume shortens it
+	// from the front; Available is then a subtraction, whatever the backlog.
+	runPkts  int32
+	userPkts int32 // how many packet slots fit in user
+	runBytes int   // payload bytes in the run, the head packet counted whole
+
+	user []byte // attached reader buffer, nil when detached
 
 	// DirectBytes counts bytes placed straight into attached user buffers
 	// (the copies avoided by overlapped IO); CopiedBytes counts bytes that
@@ -317,8 +324,11 @@ func (b *RcvBuffer) stored(idx int) (*chunk, int) {
 	return c, si
 }
 
-// consume frees the present slot si of chunk c at ring slot idx.
+// consume frees the present slot si of chunk c at ring slot idx, the first
+// of the in-order run.
 func (b *RcvBuffer) consume(idx int, c *chunk, si int) {
+	b.runPkts--
+	b.runBytes -= int(c.lens[si])
 	c.present[si], c.inUser[si] = false, false
 	b.vacate(idx, c, 1)
 	if b.nstored--; b.nstored == 0 {
@@ -355,35 +365,28 @@ func (b *RcvBuffer) Store(seq int32, payload []byte) bool {
 	c.lens[si] = n
 	c.present[si] = true
 	b.nstored++
+	if off == b.runPkts {
+		// The arrival continues the run, and joins to it whatever was
+		// already waiting behind it.
+		for c != nil {
+			b.runPkts++
+			b.runBytes += int(c.lens[si])
+			if int(b.runPkts) == b.slots {
+				break
+			}
+			if idx++; idx == b.slots {
+				idx = 0
+			}
+			c, si = b.stored(idx)
+		}
+	}
 	return true
 }
 
-// Available returns the number of in-order bytes ready for the reader. It
-// walks the stored run a chunk at a time: the transport asks after every
-// arrival, and a reader that has fallen thousands of packets behind makes
-// that walk the receive path's largest cost.
-func (b *RcvBuffer) Available() int {
-	total := -int(b.headOff)
-	idx := b.baseIdx
-	for left := b.slots; left > 0; {
-		c, si := b.tab[idx>>chunkShift], idx&chunkMask
-		if c == nil {
-			break
-		}
-		run := b.run(idx, left)
-		for i := si; i < si+run; i++ {
-			if !c.present[i] {
-				return total
-			}
-			total += int(c.lens[i])
-		}
-		left -= run
-		if idx += run; idx == b.slots {
-			idx = 0
-		}
-	}
-	return total
-}
+// Available returns the number of in-order bytes ready for the reader, in
+// constant time: the transport asks after every arrival, so its cost must
+// not grow with how far the reader has fallen behind.
+func (b *RcvBuffer) Available() int { return b.runBytes - int(b.headOff) }
 
 // AttachUser registers p as a logical extension of the protocol buffer
 // (Fig. 10). It succeeds only when the reader is fully caught up (no stored

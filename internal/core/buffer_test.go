@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -452,11 +453,12 @@ func (r *residency) check(t *testing.T, ring *slotRing, inflight int) {
 	if live > r.chunksFor(inflight) {
 		t.Fatalf("%d chunks live with %d slots in flight, want ≤ %d", live, inflight, r.chunksFor(inflight))
 	}
-	if bound := max(r.keep, r.chunksFor(r.period)); live+ring.nspare > bound {
+	nspare := int(ring.nspare)
+	if bound := max(r.keep, r.chunksFor(r.period)); live+nspare > bound {
 		t.Fatalf("%d chunks resident (%d live, %d spare), want ≤ %d (busy-period high water %d slots, allowance %d)",
-			live+ring.nspare, live, ring.nspare, bound, r.period, r.keep)
+			live+nspare, live, nspare, bound, r.period, r.keep)
 	}
-	if got := len(ring.chunks()); got != live+ring.nspare {
+	if got := len(ring.chunks()); got != live+nspare {
 		t.Fatalf("spare list holds %d chunks, counter says %d", got-live, ring.nspare)
 	}
 }
@@ -782,8 +784,10 @@ func (m *rcvModel) check(t *testing.T, b *RcvBuffer) {
 	if b.Cap() != m.capacity || int(b.Free()) != m.capacity-m.nstored {
 		t.Fatalf("cap/free = %d/%d, model %d/%d", b.Cap(), b.Free(), m.capacity, m.capacity-m.nstored)
 	}
-	if b.Available() != m.available() {
-		t.Fatalf("Available = %d, model %d", b.Available(), m.available())
+	// Available is a subtraction over the run the buffer maintains; the
+	// model walks its window for both, after every operation.
+	if b.Available() != m.available() || int(b.runPkts) != m.firstHole() {
+		t.Fatalf("Available = %d over a run of %d packets, model %d over %d", b.Available(), b.runPkts, m.available(), m.firstHole())
 	}
 	if b.DirectBytes != m.direct || b.CopiedBytes != m.copied {
 		t.Fatalf("direct/copied = %d/%d, model %d/%d", b.DirectBytes, b.CopiedBytes, m.direct, m.copied)
@@ -920,5 +924,33 @@ func TestRcvBufferModel(t *testing.T) {
 				t.Fatalf("cap %d seed %d: drained buffer reports %d free", capacity, seed, b.Free())
 			}
 		}
+	}
+}
+
+// BenchmarkRcvAvailableBacklog prices what the transport does after every
+// fresh arrival — store the packet, ask what the reader can have — with the
+// reader a fixed number of packets behind. The cost per arrival must not
+// depend on that backlog.
+func BenchmarkRcvAvailableBacklog(b *testing.B) {
+	for _, backlog := range []int{16, 4096} {
+		b.Run(fmt.Sprint(backlog), func(b *testing.B) {
+			const payload = 1456
+			buf := NewRcvBuffer(8192, payload, 0)
+			pkt, out := make([]byte, payload), make([]byte, payload)
+			seq := int32(0)
+			for ; seq < int32(backlog); seq++ {
+				buf.Store(seq, pkt)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Store(seq, pkt)
+				seq = seqno.Inc(seq)
+				if buf.Available() != (backlog+1)*payload {
+					b.Fatalf("Available = %d with %d packets stored", buf.Available(), backlog+1)
+				}
+				buf.Read(out)
+			}
+		})
 	}
 }

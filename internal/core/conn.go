@@ -407,6 +407,11 @@ func (c *Conn) NextTimer() int64 {
 // detection. The caller must separately ensure it has no unsent data
 // buffered; the engine cannot see the transport's send queue.
 //
+// A tick of a flow that is not quiescent but has nothing to report is
+// cheap too: sendACK reads the burst arrival rate (its "reopened" test
+// needs the window) from the estimator's cache and returns; the achieved
+// rate and the link capacity are read only for an ACK that is emitted.
+//
 // Quiescence is a transport-side scheduling hint: the shared scheduler
 // parks idle flows until NextWake instead of waking them every SYN. It is
 // deliberately not consulted by the deterministic simulator, whose driver
@@ -458,7 +463,6 @@ func (c *Conn) sendACK(now int64) {
 	// window derived from the rate the sender actually achieved is a fixed
 	// point it can never grow past (see NewBurstArrivalWindow). Before AS
 	// is measurable, stay at the slow-start floor.
-	recvRate := c.arrival.Rate()
 	w := float64(slowStartCwnd)
 	if br := c.burstArr.Rate(); br > 0 {
 		w = float64(br) * float64(c.cfg.SYN+c.rtt.Smoothed()) / 1e6
@@ -493,7 +497,7 @@ func (c *Conn) sendACK(now int64) {
 		RTT:      int32(c.rtt.Smoothed()),
 		RTTVar:   int32(c.rtt.Var()),
 		AvailBuf: adv,
-		RecvRate: recvRate,
+		RecvRate: c.arrival.Rate(),
 		Capacity: c.probe.Capacity(),
 	}
 	c.ackWin.Store(c.ackID, ack, now)

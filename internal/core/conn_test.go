@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"udt/internal/flow"
 	"udt/internal/packet"
 	"udt/internal/seqno"
 )
@@ -629,4 +630,79 @@ func TestZeroGapProbePairsClampToClockFloor(t *testing.T) {
 	if got := c.probe.Capacity(); got != 1e6 {
 		t.Fatalf("zero-gap pair capacity = %d, want 1000000", got)
 	}
+}
+
+// TestAckEmissionAllocs crosses the ACK paths with the arrival, burst and
+// probe windows full — the state every flow is in after its first thousand
+// packets, and the one in which the estimators' median filters used to sort
+// on the heap three times per ACK: the periodic ACK with progress to report,
+// the light ACK that HandleData emits every 64 packets, and the periodic
+// tick with nothing to report.
+func TestAckEmissionAllocs(t *testing.T) {
+	const peerISN = 500
+	c := NewConn(Config{}, peerISN)
+	c.Start(0)
+	syn := c.Config().SYN
+	now, seq := int64(0), int32(peerISN)
+	arrive := func(n int, gap int64) {
+		for i := 0; i < n; i++ {
+			now += gap
+			if !c.HandleData(now, seq) {
+				t.Fatalf("in-order packet %d not fresh", seq)
+			}
+			seq = seqno.Inc(seq)
+		}
+	}
+	// drain answers every ACK with its ACK2, as a live peer would (an
+	// unanswered ACK history grows toward its limit), and counts them.
+	drain := func() (acks int) {
+		for {
+			o, ok := c.PopOut()
+			if !ok {
+				return acks
+			}
+			if o.Kind == OutACK {
+				acks++
+				c.HandleACK2(now, o.ACK.AckID)
+			}
+		}
+	}
+	periodic := func() {
+		arrive(16, syn/16)
+		c.Advance(now)
+		if drain() != 1 {
+			t.Fatal("periodic ACK with progress not emitted")
+		}
+	}
+	for i := 0; i < 2*flow.DefaultProbeWindow; i++ {
+		periodic() // one packet pair each: fills the probe window twice over
+	}
+	if c.arrival.Rate() <= 0 || c.burstArr.Rate() <= 0 || c.probe.Capacity() <= 0 {
+		t.Fatalf("windows not warm: rate %d burst %d capacity %d", c.arrival.Rate(), c.burstArr.Rate(), c.probe.Capacity())
+	}
+	gate := func(name string, f func()) {
+		t.Helper()
+		a := testing.AllocsPerRun(200, f)
+		t.Logf("%s: %.2f allocs/ACK tick", name, a)
+		if a != 0 {
+			t.Errorf("%s allocates, want 0", name)
+		}
+	}
+	gate("periodic ACK with progress", periodic)
+	light := func() {
+		arrive(64, 1)
+		if drain() != 1 {
+			t.Fatal("light ACK not emitted on the 64th packet")
+		}
+	}
+	gate("light ACK from HandleData", light)
+	idle := func() {
+		now += syn
+		c.HandleKeepAlive(now) // the peer stays alive; EXP never fires
+		c.Advance(now)
+		if drain() != 0 {
+			t.Fatal("ACK emitted with nothing to report")
+		}
+	}
+	gate("ACK tick without progress", idle)
 }

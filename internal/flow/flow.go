@@ -8,7 +8,7 @@
 // All times are int64 microseconds on a monotonic clock.
 package flow
 
-import "sort"
+import "slices"
 
 // ArrivalWindow estimates the packet arrival speed through a median filter
 // on the most recent packet arrival intervals. A mean over a fixed period
@@ -20,9 +20,11 @@ type ArrivalWindow struct {
 	pos       int
 	filled    int
 	last      int64 // previous arrival time
+	coalesced int   // arrivals in the same µs as their predecessor, pending amortization
 	seen      bool
-	coalesced int  // arrivals in the same µs as their predecessor, pending amortization
-	burst     bool // clamp coalesced gaps to 1 µs instead of amortizing
+	burst     bool  // clamp coalesced gaps to 1 µs instead of amortizing
+	cached    bool  // rate is Rate's answer for the intervals as they stand
+	rate      int32 // valid while cached; OnArrival clears it with every interval it records
 }
 
 // DefaultArrivalWindow is the history size used by UDT (16 packets).
@@ -86,6 +88,7 @@ func (w *ArrivalWindow) OnArrival(now int64) {
 	}
 	n := int64(w.coalesced) + 1
 	w.coalesced = 0
+	w.cached = false
 	per := gap / n
 	if per <= 0 {
 		per = 1
@@ -102,16 +105,22 @@ func (w *ArrivalWindow) OnArrival(now int64) {
 // medianFiltered returns the average of the samples within (median/8,
 // median×8), and the number of samples kept. This is the paper's median
 // filter; it needs at least half the window accepted to produce an estimate.
+// Every ACK asks, so it must not allocate: the copy it sorts for the median
+// is on the stack, and slices.Sort needs neither reflection nor a closure.
 func medianFiltered(samples []int64) (avg int64, kept int) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	tmp := make([]int64, len(samples))
-	copy(tmp, samples)
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	var stack [DefaultProbeWindow]int64
+	tmp := stack[:]
+	if len(samples) > len(stack) {
+		tmp = make([]int64, len(samples))
+	}
+	tmp = tmp[:copy(tmp, samples)]
+	slices.Sort(tmp)
 	median := tmp[len(tmp)/2]
 	var sum int64
-	for _, v := range tmp {
+	for _, v := range samples {
 		if v < median<<3 && v > median>>3 {
 			sum += v
 			kept++
@@ -124,16 +133,19 @@ func medianFiltered(samples []int64) (avg int64, kept int) {
 }
 
 // Rate returns the estimated packet arrival speed in packets per second, or
-// 0 when there is not yet enough accepted history.
+// 0 when there is not yet enough accepted history. The answer is kept until
+// the next recorded interval, so asking again between arrivals costs a load.
 func (w *ArrivalWindow) Rate() int32 {
 	if w.filled < len(w.intervals) {
 		return 0
 	}
-	avg, kept := medianFiltered(w.intervals[:w.filled])
-	if kept <= w.filled/2 || avg <= 0 {
-		return 0
+	if !w.cached {
+		w.rate, w.cached = 0, true
+		if avg, kept := medianFiltered(w.intervals); kept > w.filled/2 && avg > 0 {
+			w.rate = int32(1e6 / avg)
+		}
 	}
-	return int32(1e6 / avg)
+	return w.rate
 }
 
 // ProbeWindow estimates end-to-end link capacity from packet-pair probes
@@ -145,6 +157,8 @@ type ProbeWindow struct {
 	intervals []int64
 	pos       int
 	filled    int
+	cached    bool  // capacity is Capacity's answer for the intervals as they stand
+	capacity  int32 // valid while cached; OnPair clears it
 }
 
 // DefaultProbeWindow is the history size used by UDT (64 pairs).
@@ -174,6 +188,7 @@ func (w *ProbeWindow) OnPair(gap int64) {
 	if gap <= 0 {
 		gap = 1
 	}
+	w.cached = false
 	w.intervals[w.pos] = gap
 	w.pos = (w.pos + 1) % len(w.intervals)
 	if w.filled < len(w.intervals) {
@@ -182,16 +197,16 @@ func (w *ProbeWindow) OnPair(gap int64) {
 }
 
 // Capacity returns the estimated link capacity in packets per second, or 0
-// when there is not enough history yet.
+// when there is not enough history yet. The answer is kept until the next
+// recorded pair.
 func (w *ProbeWindow) Capacity() int32 {
-	if w.filled == 0 {
-		return 0
+	if !w.cached {
+		w.capacity, w.cached = 0, true
+		if avg, kept := medianFiltered(w.intervals[:w.filled]); kept > 0 && avg > 0 {
+			w.capacity = int32(1e6 / avg)
+		}
 	}
-	avg, kept := medianFiltered(w.intervals[:w.filled])
-	if kept == 0 || avg <= 0 {
-		return 0
-	}
-	return int32(1e6 / avg)
+	return w.capacity
 }
 
 // AckWindow remembers recently sent ACKs so that the matching ACK2 yields an

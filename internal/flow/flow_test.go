@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -297,5 +299,143 @@ func TestAckWindowGrowsLikeFixed(t *testing.T) {
 		if len(w.recs) > limit {
 			t.Fatalf("limit %d: history grew to %d records", limit, len(w.recs))
 		}
+	}
+}
+
+// medianFilteredSort is medianFiltered as it was before it stopped sorting:
+// the reference the allocation-free filter must match bit for bit.
+func medianFilteredSort(samples []int64) (avg int64, kept int) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	tmp := make([]int64, len(samples))
+	copy(tmp, samples)
+	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	median := tmp[len(tmp)/2]
+	var sum int64
+	for _, v := range tmp {
+		if v < median<<3 && v > median>>3 {
+			sum += v
+			kept++
+		}
+	}
+	if kept == 0 {
+		return 0, 0
+	}
+	return sum / int64(kept), kept
+}
+
+// TestMedianFilteredMatchesSort compares the filter with its sorting
+// reference over windows of every length the estimators use and longer
+// (past the stack copy), with duplicates, zeros and values large enough
+// that median<<3 and the sum overflow — which both must do identically.
+func TestMedianFilteredMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for n := 0; n < 100000; n++ {
+		samples := make([]int64, 1+rng.Intn(80))
+		var draw func() int64
+		switch rng.Intn(5) {
+		case 0: // few distinct values: runs of duplicates around the median
+			k := int64(1 + rng.Intn(4))
+			draw = func() int64 { return rng.Int63n(k) }
+		case 1: // microsecond gaps with idle-period outliers
+			draw = func() int64 {
+				if rng.Intn(8) == 0 {
+					return rng.Int63n(1 << 30)
+				}
+				return 1 + rng.Int63n(200)
+			}
+		case 2: // up to 2^62
+			draw = func() int64 { return rng.Int63n(1<<62 + 1) }
+		case 3: // every magnitude
+			draw = func() int64 { return rng.Int63() >> uint(rng.Intn(63)) }
+		default: // sorted or reversed input
+			step, v := int64(rng.Intn(3)), int64(rng.Intn(100))
+			if rng.Intn(2) == 0 {
+				step, v = -step, v+3*80
+			}
+			draw = func() int64 { v += step; return v }
+		}
+		for i := range samples {
+			samples[i] = draw()
+		}
+		before := append([]int64(nil), samples...)
+		avg, kept := medianFiltered(samples)
+		wantAvg, wantKept := medianFilteredSort(samples)
+		if avg != wantAvg || kept != wantKept {
+			t.Fatalf("input %d %v: medianFiltered = (%d, %d), sort reference (%d, %d)", n, samples, avg, kept, wantAvg, wantKept)
+		}
+		if !slices.Equal(samples, before) {
+			t.Fatalf("input %d: medianFiltered reordered its argument", n)
+		}
+	}
+}
+
+// TestEstimatorCacheInvalidates interleaves arrivals, pairs and queries on
+// each estimator and on a twin whose cache is thrown away before every
+// query: a result kept across an OnArrival or OnPair that changed the
+// window would show as a difference.
+func TestEstimatorCacheInvalidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, mk := range []func(int) *ArrivalWindow{NewArrivalWindow, NewBurstArrivalWindow} {
+		w, twin := mk(DefaultArrivalWindow), mk(DefaultArrivalWindow)
+		now := int64(0)
+		for op := 0; op < 20000; op++ {
+			switch rng.Intn(3) {
+			case 0:
+				switch rng.Intn(4) {
+				case 0: // same microsecond: coalesced, or the 1 µs floor
+				case 1:
+					now += rng.Int63n(100000) // an idle gap
+				default:
+					now += 1 + rng.Int63n(50)
+				}
+				w.OnArrival(now)
+				twin.OnArrival(now)
+			default: // queries outnumber arrivals, so most hit the cache
+				twin.cached = false
+				if got, want := w.Rate(), twin.Rate(); got != want {
+					t.Fatalf("burst=%v op %d: Rate = %d, uncached twin %d", w.burst, op, got, want)
+				}
+			}
+		}
+	}
+	w, twin := NewProbeWindow(DefaultProbeWindow), NewProbeWindow(DefaultProbeWindow)
+	for op := 0; op < 20000; op++ {
+		if rng.Intn(3) == 0 {
+			gap := rng.Int63n(400) - 2 // non-positive gaps clamp to 1
+			if rng.Intn(16) == 0 {
+				gap = rng.Int63n(1 << 20)
+			}
+			w.OnPair(gap)
+			twin.OnPair(gap)
+			continue
+		}
+		twin.cached = false
+		if got, want := w.Capacity(), twin.Capacity(); got != want {
+			t.Fatalf("op %d: Capacity = %d, uncached twin %d", op, got, want)
+		}
+	}
+}
+
+// TestEstimatorAllocs: the estimators are asked on every ACK, with their
+// windows full; neither a fresh filter pass nor a cached answer may allocate.
+func TestEstimatorAllocs(t *testing.T) {
+	a, p := NewArrivalWindow(DefaultArrivalWindow), NewProbeWindow(DefaultProbeWindow)
+	now := int64(0)
+	for i := 0; i < 2*DefaultProbeWindow; i++ {
+		now += 100
+		a.OnArrival(now)
+		p.OnPair(100)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		now += 100
+		a.OnArrival(now)
+		p.OnPair(90)
+		if a.Rate() <= 0 || p.Capacity() <= 0 || a.Rate() <= 0 || p.Capacity() <= 0 {
+			t.Fatal("estimators with full windows returned nothing")
+		}
+	}); avg != 0 {
+		t.Fatalf("estimator queries allocate %.2f per ACK, want 0", avg)
 	}
 }

@@ -106,6 +106,13 @@ type mmsgReader struct {
 	bufs  [][]byte
 	addrs []net.UDPAddr
 
+	// The recvmmsg body is bound once (recv = r.recvmmsg) and reports through
+	// got/serr: a closure built per call would capture its results and move
+	// them to the heap on every read. readBatch has one caller, the read loop.
+	recv func(fd uintptr) bool
+	got  int
+	serr syscall.Errno
+
 	stats *offloadStats
 }
 
@@ -135,6 +142,7 @@ func newBatchReader(pc PacketConn, batch int, offload bool, st *offloadStats) ba
 		addrs: make([]net.UDPAddr, batch),
 		stats: st,
 	}
+	r.recv = r.recvmmsg
 	if offload {
 		r.gro = enableGRO(rc)
 	}
@@ -168,29 +176,14 @@ func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error 
 		}
 		r.hdrs[i].n = 0
 	}
-	var got int
-	var serr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for readability in the poller
-		}
-		if e != 0 {
-			serr = e
-		} else {
-			got = int(n)
-		}
-		return true
-	})
-	if err != nil {
+	r.got, r.serr = 0, 0
+	if err := r.rc.Read(r.recv); err != nil {
 		return err
 	}
-	if serr != nil {
-		return serr
+	if r.serr != 0 {
+		return r.serr
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < r.got; i++ {
 		from := r.sockaddr(i)
 		if from == nil {
 			continue // unknown address family; nothing to route by
@@ -208,6 +201,22 @@ func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error 
 		deliver(raw, from, time.Time{})
 	}
 	return nil
+}
+
+// recvmmsg is the syscall body rc.Read runs inside the poller.
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // wait for readability in the poller
+	}
+	if e != 0 {
+		r.serr = e
+	} else {
+		r.got = int(n)
+	}
+	return true
 }
 
 // groSegSize extracts the UDP_GRO segment size from message i's control
@@ -279,6 +288,17 @@ type mmsgWriter struct {
 	sa4  syscall.RawSockaddrInet4
 	sa6  syscall.RawSockaddrInet6
 	cbuf [32]byte // UDP_SEGMENT control message (segCmsgSpace bytes used)
+
+	// The syscall bodies are bound once (sendmmsg, sendmsg below) and take
+	// their operands from, and report through, these fields under mu: a
+	// closure built per call would capture them and move them to the heap on
+	// every send.
+	sendBatch func(fd uintptr) bool
+	sendTrain func(fd uintptr) bool
+	pending   []mmsghdr      // sendmmsg: the part of the batch not yet sent
+	msg       syscall.Msghdr // sendmsg: the segmented train
+	sent      int
+	serr      syscall.Errno
 }
 
 // newBatchSender returns the sendmmsg writer for a real UDP socket, or
@@ -295,6 +315,7 @@ func newBatchSender(pc PacketConn, offload bool) batchWriter {
 		return nil
 	}
 	w := &mmsgWriter{u: u, rc: rc}
+	w.sendBatch, w.sendTrain = w.sendmmsg, w.sendmsg
 	if offload {
 		w.gso.Store(probeGSO(rc))
 	}
@@ -353,26 +374,11 @@ func (w *mmsgWriter) writeBatch(bufs [][]byte, addr net.Addr) error {
 	// everything is out or the socket reports a real error.
 	transients := 0
 	for off := 0; off < len(hdrs); {
-		sent := 0
-		var serr error
-		err := w.rc.Write(func(fd uintptr) bool {
-			n, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[off])), uintptr(len(hdrs)-off),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // wait for writability in the poller
-			}
-			if e != 0 {
-				serr = e
-			} else {
-				sent = int(n)
-			}
-			return true
-		})
-		if err != nil {
+		w.pending, w.sent, w.serr = hdrs[off:], 0, 0
+		if err := w.rc.Write(w.sendBatch); err != nil {
 			return err
 		}
-		if serr != nil {
+		if serr := w.serr; serr != 0 {
 			if transientNetErr(serr) {
 				// sendmmsg reported a queued ICMP error (a departed
 				// peer's port unreachable — possibly another flow's)
@@ -386,12 +392,29 @@ func (w *mmsgWriter) writeBatch(bufs [][]byte, addr net.Addr) error {
 			}
 			return serr
 		}
-		if sent <= 0 {
+		if w.sent <= 0 {
 			return syscall.EIO
 		}
-		off += sent
+		off += w.sent
 	}
 	return nil
+}
+
+// sendmmsg is the syscall body rc.Write runs inside the poller for
+// writeBatch.
+func (w *mmsgWriter) sendmmsg(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&w.pending[0])), uintptr(len(w.pending)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // wait for writability in the poller
+	}
+	if e != 0 {
+		w.serr = e
+	} else {
+		w.sent = int(n)
+	}
+	return true
 }
 
 // offloadActive reports the cached UDP_SEGMENT probe verdict.
@@ -437,33 +460,18 @@ func (w *mmsgWriter) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (b
 	cm.SetLen(syscall.SizeofCmsghdr + 2)
 	*(*uint16)(unsafe.Pointer(&w.cbuf[syscall.SizeofCmsghdr])) = uint16(segSize)
 
-	var msg syscall.Msghdr
-	msg.Name = name
-	msg.Namelen = namelen
-	msg.Iov = &iovs[0]
-	msg.Iovlen = uint64(len(iovs))
-	msg.Control = &w.cbuf[0]
-	msg.SetControllen(segCmsgSpace)
+	w.msg.Name = name
+	w.msg.Namelen = namelen
+	w.msg.Iov = &iovs[0]
+	w.msg.Iovlen = uint64(len(iovs))
+	w.msg.Control = &w.cbuf[0]
+	w.msg.SetControllen(segCmsgSpace)
 
-	var serr error
-	sent := 0
-	err := w.rc.Write(func(fd uintptr) bool {
-		n, _, e := syscall.Syscall6(sysSENDMSG, fd,
-			uintptr(unsafe.Pointer(&msg)), syscall.MSG_DONTWAIT, 0, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for writability in the poller
-		}
-		if e != 0 {
-			serr = e
-		} else {
-			sent = int(n)
-		}
-		return true
-	})
-	if err != nil {
+	w.sent, w.serr = 0, 0
+	if err := w.rc.Write(w.sendTrain); err != nil {
 		return true, err
 	}
-	if serr != nil {
+	if serr := w.serr; serr != 0 {
 		if transientNetErr(serr) {
 			// A queued ICMP error consumed the send; the train is lost on
 			// the wire, which the protocol repairs. The socket is fine.
@@ -478,8 +486,24 @@ func (w *mmsgWriter) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (b
 		}
 		return true, serr
 	}
-	if sent < total {
+	if w.sent < total {
 		return true, syscall.EIO
 	}
 	return true, nil
+}
+
+// sendmsg is the syscall body rc.Write runs inside the poller for
+// writeSegments.
+func (w *mmsgWriter) sendmsg(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysSENDMSG, fd,
+		uintptr(unsafe.Pointer(&w.msg)), syscall.MSG_DONTWAIT, 0, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // wait for writability in the poller
+	}
+	if e != 0 {
+		w.serr = e
+	} else {
+		w.sent = int(n)
+	}
+	return true
 }

@@ -26,6 +26,11 @@ echo "non-test Go lines outside bench/: $(find . -name '*.go' -not -path './benc
 # printed beside the line counts.
 budget=$(go test -run 'TestConnLifecycleBytes|TestIdleFlowHoldsNoPayload|TestRequestResponseResidency' -count=1 -v .)
 echo "$budget" | grep -E 'bytes/conn=|heap/flow=|heap before='
+# And what a syscall, an ACK and a blocking pipe read allocate: the three
+# gates that drive the real socket, the warm estimator windows and the
+# deadline timer — the sites the discardSock-based gates cannot see.
+allocgates=$(go test -run 'TestMmsgSyscallAllocs|TestAckEmissionAllocs|TestPipeAllocs' -count=1 -v . ./internal/core ./fabric)
+echo "$allocgates" | grep -E 'allocs/(call|ACK|read)'
 # Cross-compile gates: the Linux offload fast path (GSO/GRO, SO_REUSEPORT
 # groups, mmap sendfile) must keep the portable stubs compiling on
 # platforms that lack it.
@@ -86,3 +91,18 @@ go run ./cmd/udtchaos -campaign -determinism
 # rather than the pipeline's timeout.
 smoke=$(timeout 120 bash bench/run.sh --seconds 2)
 test "$(echo "$smoke" | grep -c '"correct":true')" -eq 5
+# The bulk workloads allocate per Write, not per packet or per syscall: a
+# 1 MiB block is ~730 packets, so anything that allocates on a per-packet or
+# per-ACK path again reads in the hundreds here (it read ≈450 until the
+# syscall closures and the sorting median filter went). Two seconds are too
+# few to gate a rate on and plenty for a count.
+echo "$smoke" | awk '
+/^== / { w = $2 }
+/^\{"correct"/ && (w == "bulk_clear" || w == "bulk_aead") {
+	if (!match($0, /"allocs_per_msg":\{"value":[0-9.e+-]+/)) exit 1
+	v = substr($0, RSTART, RLENGTH); sub(/.*:/, "", v)
+	printf "%s allocs_per_msg %s\n", w, v
+	if (v + 0 >= 20) bad = 1
+	n++
+}
+END { exit bad || n != 2 }'
