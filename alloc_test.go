@@ -50,16 +50,22 @@ func (g *gsoDiscardSock) writeSegments(bufs [][]byte, segSize int, _ net.Addr) (
 
 func (g *gsoDiscardSock) offloadActive() bool { return true }
 
-// newSendPathConn is newConn on a shard whose worker never runs, so tests
-// can drive ClaimBurst/DrainOutbox deterministically from one goroutine.
-// With traced set the default perfmon ring stays attached, so the alloc
-// gates cover telemetry. cc selects the congestion controller (nil =
-// native), so the gates cover every registered law's interface dispatch.
+// newSendPathConn is newParkedConn with a default Config. With traced set
+// the default perfmon ring stays attached, so the alloc gates cover
+// telemetry. cc selects the congestion controller (nil = native), so the
+// gates cover every registered law's interface dispatch.
 func newSendPathConn(sock sockWriter, traced bool, cc CongestionFactory, sec *secure.Session) *Conn {
 	cfg := Config{CC: cc}
 	if !traced {
 		cfg.PerfHistory = -1
 	}
+	return newParkedConn(cfg, sock, sec)
+}
+
+// newParkedConn is newConn on a shard whose worker never runs, so tests
+// can drive ClaimBurst/DrainOutbox and runTask deterministically from one
+// goroutine.
+func newParkedConn(cfg Config, sock sockWriter, sec *secure.Session) *Conn {
 	cfg.fill()
 	shard := &poolShard{clock: timing.NewSysClock(), wheel: timerwheel.New(), kick: make(chan struct{}, 1)}
 	return newConn(cfg, sock, nil, nil, nil, 0, 0, shard, sec)

@@ -478,7 +478,7 @@ func (c *Conn) runTask() (int64, bool) {
 		arena = c.shard.arena(c.burst, mux.DestPrefix+c.cfg.MSS)
 		nData, wake, decision = c.ep.ClaimBurst(now, c.sendCost, arena.scratch, arena.lens)
 	} else {
-		wake = c.ep.Eng.NextWake()
+		wake = c.ep.Eng.NextWake(false)
 	}
 	closedNow := c.ep.Eng.Closed() && c.ep.Snd.Pending() == 0
 	c.mu.Unlock()

@@ -135,8 +135,9 @@ func TestJitterFreeRouterPathIsFIFO(t *testing.T) {
 
 // pinnedSmallDumbbellDigest is the replay fingerprint of smallDumbbell(3).
 // It must never change on refactors; an intentional behavior change must
-// update it in the same commit with an explanation.
-const pinnedSmallDumbbellDigest uint64 = 0x4e27470ac8ff3326
+// update it in the same commit with an explanation. Re-pinned in PR 25 for
+// the FreezeEnd fold, the keep-alive fix and the pre-start fix (CHANGES.md).
+const pinnedSmallDumbbellDigest uint64 = 0x0535c8fff192b349
 
 func TestSmallDumbbellReplayDigestPinned(t *testing.T) {
 	r1, _, err := Run(smallDumbbell(3))
@@ -174,8 +175,10 @@ func TestSmallDumbbellReplayDigestPinned(t *testing.T) {
 // pinnedCISetDigests are the replay fingerprints of the CISet campaigns:
 // the cross-commit gate on the 100-flow four-law dumbbell and the 32-flow
 // star, re-pinned under the same rule as pinnedSmallDumbbellDigest.
+// dumbbell100 moved in PR 25 with the wake-rule fixes and its 1 ms arrival
+// gap; star32 did not move.
 var pinnedCISetDigests = map[string]uint64{
-	"dumbbell100": 0x56cf5e3c2434421d,
+	"dumbbell100": 0xf8e8faeccf44d58d,
 	"star32":      0x381120a8dbc394a8,
 }
 
@@ -195,18 +198,24 @@ func TestCISetDigestsPinned(t *testing.T) {
 	}
 }
 
-// TestScriptedEventPerturbsCampaign is the pins' self-test: a behavior
-// change must move the digest, or the gates above could pass anything.
-func TestScriptedEventPerturbsCampaign(t *testing.T) {
-	spec := smallDumbbell(3)
-	base, _, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+// scriptedLoss is smallDumbbell(seed) with its bottleneck turning 20 %
+// lossy 20 ms in, for the rest of the run.
+func scriptedLoss(seed int64) Spec {
+	spec := smallDumbbell(seed)
 	spec.Events = []chaos.Event{{At: 20_000, Do: func(nw *netem.Net) {
 		nw.UpdatePath("l", "r", func(c *netem.LinkConfig) { c.Loss = 0.2 })
 	}}}
-	perturbed, _, err := Run(spec)
+	return spec
+}
+
+// TestScriptedEventPerturbsCampaign is the pins' self-test: a behavior
+// change must move the digest, or the gates above could pass anything.
+func TestScriptedEventPerturbsCampaign(t *testing.T) {
+	base, _, err := Run(smallDumbbell(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed, _, err := Run(scriptedLoss(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +228,48 @@ func TestScriptedEventPerturbsCampaign(t *testing.T) {
 	if perturbed.Summary.RetransTotal <= base.Summary.RetransTotal {
 		t.Fatalf("loss episode: retrans %d → %d, expected an increase",
 			base.Summary.RetransTotal, perturbed.Summary.RetransTotal)
+	}
+}
+
+// TestScriptedLossRecoversAcrossSeeds runs the scripted-loss campaign on
+// twenty seeds, not only the one the perturbation test pins: every flow must
+// complete on every seed. Before the keep-alive fix it failed on seeds 2, 18
+// and 19 — a tail-lost packet behind an idle receiver's keep-alives was
+// never retransmitted — and the single pinned seed passed.
+func TestScriptedLossRecoversAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rep, _, err := Run(scriptedLoss(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed=%d %s", seed, rep)
+		if !rep.OK {
+			t.Errorf("seed %d: flows did not all recover through the loss", seed)
+		}
+	}
+}
+
+// TestCISetCongests keeps the CI campaigns honest about what they test: a
+// campaign that stops congesting passes every digest and tests nothing.
+// dumbbell100 must push its population through queue drops and
+// retransmissions at the shared bottleneck. star32 is logged beside it; its
+// simultaneous arrival congests nothing (0 retransmissions), so it gates
+// completion and fairness, not loss recovery.
+func TestCISetCongests(t *testing.T) {
+	for _, spec := range CISet() {
+		rep, _, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		var dropq int64
+		for _, l := range rep.Links {
+			dropq += l.DroppedQueue
+		}
+		t.Logf("campaign=%s dropq=%d retrans=%d jain=%.3f p99ack=%dµs",
+			spec.Name, dropq, rep.Summary.RetransTotal, rep.Summary.JainIndex, rep.Summary.P99AckUs)
+		if spec.Name == "dumbbell100" && (dropq == 0 || rep.Summary.RetransTotal == 0) {
+			t.Errorf("dumbbell100 no longer congests: %d queue drops, %d retransmissions", dropq, rep.Summary.RetransTotal)
+		}
 	}
 }
 

@@ -196,10 +196,11 @@ func summarize(rep *Report) {
 	}
 }
 
-// CISet returns the campaigns the CI gate runs: a 100-flow mixed-law
-// dumbbell with Poisson arrivals and a 32-flow flash-crowd star, both sized
-// to finish in seconds of wall time under the virtual clock while still
-// saturating their bottleneck queues.
+// CISet returns the campaigns the CI gate runs, both sized to finish in
+// about a second of wall time under the virtual clock: a 100-flow
+// mixed-law dumbbell whose Poisson arrivals (1 ms mean gap) overflow its
+// bottleneck queue (TestCISetCongests), and a 32-flow flash-crowd star that
+// congests nothing and gates completion and fairness.
 func CISet() []Spec {
 	dumbTopo, dumbFlows := Dumbbell(100,
 		netem.LinkConfig{Delay: 500, RateMbps: 50, QueuePkts: 64},
@@ -207,7 +208,7 @@ func CISet() []Spec {
 	)
 	dumbFlows = AssignPayload(dumbFlows, 32<<10)
 	dumbFlows = AssignCC(dumbFlows, "native", "ctcp", "bbrlite", "hstcp")
-	dumbFlows = PoissonArrivals(dumbFlows, 42, 0, 5_000)
+	dumbFlows = PoissonArrivals(dumbFlows, 42, 0, 1_000)
 
 	starTopo, starFlows := Star(32,
 		netem.LinkConfig{Delay: 1000, RateMbps: 100, QueuePkts: 64},

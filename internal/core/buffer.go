@@ -44,8 +44,8 @@ type chunk struct {
 // enters, so a steady flow — whatever its window — recycles the chunks it
 // has and allocates nothing. What is resident therefore follows what is in
 // flight, not how far the ring has walked. When the buffer runs empty the
-// spare list is cut to what the busy period just ended had live at once
-// (see drained): a flow that moves one packet at a time holds one chunk,
+// spare list is cut to what recent busy periods had live at once (see
+// drained): a flow that moves one packet at a time holds one chunk,
 // and an idle flow that has never carried data holds only the table.
 type slotRing struct {
 	payload int
@@ -103,13 +103,21 @@ func (r *slotRing) vacate(idx int, c *chunk, n int) {
 
 // drained is called when the last occupied slot of the whole buffer has been
 // freed, which a receive buffer with a prompt reader does after every read
-// batch: it keeps as many spares as the busy period just ended had chunks
-// live at once, so the next burst of that size allocates nothing, and lets
-// the allowance fall by one chunk per busy period rather than at once, so
-// bursts of varying size do not allocate on every upswing. The rest go to
-// the collector.
+// batch: it keeps as many spares as the largest busy period since the flow
+// last ran one chunk at a time had live at once, so the next burst of that
+// size allocates nothing. The allowance falls by one chunk per busy period
+// that fit in one chunk: a flow that settles to a packet at a time gives
+// its burst chunks back one period at a time, while a bulk receiver, whose
+// bursts span tens to hundreds of chunks and whose largest come only when
+// the reader stalls, keeps them and allocates nothing however often and
+// however unevenly the reader drains it. The rest go to the collector.
 func (r *slotRing) drained() {
-	r.keep = max(r.peak, r.keep-1)
+	switch {
+	case r.peak >= r.keep:
+		r.keep = r.peak
+	case r.peak <= 1:
+		r.keep--
+	}
 	r.peak = 0
 	for r.nspare > r.keep {
 		r.spare = r.spare.next

@@ -434,9 +434,11 @@ func (r *residency) chunksFor(n int) int {
 // than what is in flight now; live plus spare chunks no more than the
 // high-water mark of the current busy period (or what the buffer was
 // allowed to keep when it last ran empty); an empty buffer holds no live
-// chunk, and no more spares than the busy period that just ended needed —
-// an allowance that then falls by a chunk per busy period, so a flow that
-// settles to one packet at a time settles to one spare.
+// chunk, and no more spares than the busiest recent period needed — an
+// allowance that falls by a chunk per busy period fitting in one chunk, so
+// a flow that settles to one packet at a time settles to one spare. The
+// model applies buffer.go's rule to chunksFor(period), an upper bound on
+// the real high water, so its allowance bounds the buffer's.
 func (r *residency) check(t *testing.T, ring *slotRing, inflight int) {
 	t.Helper()
 	live := 0
@@ -446,7 +448,12 @@ func (r *residency) check(t *testing.T, ring *slotRing, inflight int) {
 		}
 	}
 	if inflight == 0 && r.period > 0 { // the buffer just drained
-		r.keep = max(r.chunksFor(r.period), r.keep-1)
+		switch peak := r.chunksFor(r.period); {
+		case peak >= r.keep:
+			r.keep = peak
+		case peak <= 1:
+			r.keep--
+		}
 		r.period = 0
 	}
 	r.period = max(r.period, inflight)
@@ -924,6 +931,46 @@ func TestRcvBufferModel(t *testing.T) {
 				t.Fatalf("cap %d seed %d: drained buffer reports %d free", capacity, seed, b.Free())
 			}
 		}
+	}
+}
+
+// TestRcvBufferSpareRule pins drained's allowance on the bulk receiver's
+// pattern: a reader that empties the buffer after every batch, batches of
+// very different sizes, the largest rare. After the first large batch
+// nothing allocates, however the sizes alternate: were a smaller batch to
+// give back a chunk, the next larger one would reallocate it, at a rate set
+// by how often the reader drains rather than by how much data moves.
+// Batches that fit in one chunk then give the allowance back a chunk each,
+// down to one spare.
+func TestRcvBufferSpareRule(t *testing.T) {
+	const payload = 1456
+	b := NewRcvBuffer(8192, payload, 0)
+	pkt, out := make([]byte, payload), make([]byte, 64*payload)
+	seq := int32(0)
+	batch := func(pkts int) {
+		for i := 0; i < pkts; i++ {
+			b.Store(seq, pkt)
+			seq = seqno.Inc(seq)
+		}
+		for b.Read(out) > 0 {
+		}
+	}
+	sizes := []int{40 * chunkSlots, 3 * chunkSlots, 9 * chunkSlots, 2 * chunkSlots, 20 * chunkSlots}
+	for _, n := range sizes {
+		batch(n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, n := range sizes {
+			batch(n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per round of batches, want 0", allocs)
+	}
+	for i := 0; i < 64; i++ {
+		batch(1)
+	}
+	if got := len(b.chunks()); got != 1 {
+		t.Fatalf("after single-packet batches the buffer holds %d chunks, want 1", got)
 	}
 }
 

@@ -344,7 +344,8 @@ func (c *Conn) expInterval() int64 {
 	return iv
 }
 
-// peerAlive resets expiration tracking; called on every packet from the peer.
+// peerAlive resets expiration tracking; called on every packet from the peer
+// but a keep-alive, which must not move the deadline (HandleKeepAlive).
 func (c *Conn) peerAlive(now int64) {
 	c.lastRsp = now
 	c.expCount = 0
@@ -360,9 +361,11 @@ func (c *Conn) Advance(now int64) {
 	}
 	// Periodic timers catch up arithmetically: after an idle stretch the
 	// deadline jumps to the first multiple of SYN past now in O(1), and the
-	// handler still runs exactly once per Advance — identical behavior to
-	// stepping the deadline in a loop, without O(gap/SYN) iterations when a
-	// long-quiescent connection finally wakes.
+	// handler runs once per Advance, not once per missed period. That equals
+	// stepping the deadline in a loop only while the engine is serviced at
+	// every deadline. A flow parked to EXP (NextWake) skips its quiescent
+	// ticks, and its stale ACK deadline fires at the first service after the
+	// park — typically the arrival that ended it — not on a SYN boundary.
 	if now >= c.tSYN {
 		c.cc.OnRateTick()
 		c.tSYN += ((now-c.tSYN)/c.cfg.SYN + 1) * c.cfg.SYN
@@ -404,19 +407,13 @@ func (c *Conn) NextTimer() int64 {
 // periodic ACK/NAK handlers are provably no-ops (sendACK has no progress,
 // duplicate, or reopening to report; sendNAK has an empty loss list), so
 // the only deadline that still matters is EXP — keep-alive and peer-death
-// detection. The caller must separately ensure it has no unsent data
-// buffered; the engine cannot see the transport's send queue.
+// detection. The engine cannot see the transport's send queue, so this says
+// nothing about unsent data; NextWake takes that as its argument.
 //
 // A tick of a flow that is not quiescent but has nothing to report is
 // cheap too: sendACK reads the burst arrival rate (its "reopened" test
 // needs the window) from the estimator's cache and returns; the achieved
 // rate and the link capacity are read only for an ACK that is emitted.
-//
-// Quiescence is a transport-side scheduling hint: the shared scheduler
-// parks idle flows until NextWake instead of waking them every SYN. It is
-// deliberately not consulted by the deterministic simulator, whose driver
-// wakes engines at NextTimer, so scheduling-policy changes cannot perturb
-// the chaos oracle.
 func (c *Conn) Quiescent() bool {
 	return c.started && !c.closed && !c.broken &&
 		c.Unacked() == 0 &&
@@ -427,14 +424,18 @@ func (c *Conn) Quiescent() bool {
 		(!c.gotAnyData || c.lastAckSeq == seqno.Inc(c.lrsn))
 }
 
-// NextWake returns the deadline the transport scheduler should wake this
-// engine at: EXP for a quiescent flow (its other periodic handlers would
-// do nothing — see Quiescent), the earliest of all four timers otherwise.
-// With the default 10 ms SYN and a ~300 ms minimum EXP interval this cuts
-// an idle flow's wakeups by ~30×, which is what makes parking 100k idle
-// flows on one worker pool tractable.
-func (c *Conn) NextWake() int64 {
-	if c.Quiescent() {
+// NextWake returns the deadline the transport should next service this
+// engine at, given whether the application has data queued that was never
+// sent: EXP for a quiescent flow with nothing unsent (its other periodic
+// handlers would do nothing — see Quiescent), the earliest of all four
+// timers otherwise. A sender with unsent data keeps its SYN tick even with
+// nothing in flight, because its rate control runs there (§3.3). With the
+// default 10 ms SYN and a ~300 ms minimum EXP interval parking cuts an idle
+// flow's wakeups by ~30×, which is what makes 100k idle flows on one worker
+// pool tractable. Every shell sleeps on this rule, the deterministic
+// drivers included; Endpoint.ClaimBurst folds in the send schedule.
+func (c *Conn) NextWake(unsent bool) int64 {
+	if c.Quiescent() && !unsent {
 		return c.tEXP
 	}
 	return c.NextTimer()
@@ -702,10 +703,16 @@ func (c *Conn) HandleACK2(now int64, ackID int32) {
 	}
 }
 
-// HandleKeepAlive refreshes peer liveness.
+// HandleKeepAlive records that the peer is alive. Unlike every other
+// packet it leaves the EXP deadline where it is: a keep-alive carries no
+// feedback, so postponing EXP would starve the tail-loss rescue of a side
+// with data in flight (an idle receiver's keep-alives, one per EXP interval,
+// land at or before the sender's deadline every time), and would silence an
+// idle side's own keep-alives, so that its peer hears nothing and declares
+// it dead.
 func (c *Conn) HandleKeepAlive(now int64) {
 	if !c.closed {
-		c.peerAlive(now)
+		c.lastRsp, c.expCount = now, 0
 	}
 }
 
@@ -737,7 +744,7 @@ const (
 	WaitWindow                      // flow window full: wait for an ACK
 	WaitData                        // nothing to send: wait for application data
 	WaitFrozen                      // loss-event freeze: wait one SYN (§3.3)
-	WaitClosed                      // connection closed
+	WaitClosed                      // connection not open: not yet started, or closed
 )
 
 // NextSendTime returns the earliest time the next data packet may leave (µs).
@@ -745,10 +752,11 @@ func (c *Conn) NextSendTime() int64 { return int64(c.sendSchedule) }
 
 // NextSend decides what the sender may transmit at time now, given whether
 // the application has new data queued. Lost packets always go first (§4.8).
-// On SendData/SendRetrans the engine has already committed the sequence
-// number; the transport must transmit it and then call Sent.
+// Nothing leaves before Start: a flow whose arrival is scheduled later must
+// not transmit at construction. On SendData/SendRetrans the engine has
+// already committed the sequence number; the transport must transmit it.
 func (c *Conn) NextSend(now int64, newDataAvail bool) (seq int32, d SendDecision) {
-	if c.closed {
+	if c.closed || !c.started {
 		return 0, WaitClosed
 	}
 	if c.cc.Frozen(now) {

@@ -53,9 +53,11 @@ type testLink struct {
 	now   int64
 	delay int64 // one-way, µs
 	drop  func(from int, seq int32) bool
-	q     msgHeap
-	ends  [2]*testEnd
-	rng   *rand.Rand
+	// dropCtrl, when set, loses control packets the same way.
+	dropCtrl func(from int, k OutKind) bool
+	q        msgHeap
+	ends     [2]*testEnd
+	rng      *rand.Rand
 }
 
 func newTestLink(delay int64, cfg Config) *testLink {
@@ -128,6 +130,9 @@ func (l *testLink) pump(until int64) {
 				o, ok := e.conn.PopOut()
 				if !ok {
 					break
+				}
+				if l.dropCtrl != nil && l.dropCtrl(i, o.Kind) {
+					continue
 				}
 				heap.Push(&l.q, testMsg{at: l.now + l.delay, to: 1 - i, out: o})
 			}
@@ -402,6 +407,69 @@ func TestConnKeepAliveWhenIdle(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("idle EXP must emit a keep-alive")
+	}
+}
+
+// TestKeepAliveDoesNotPostponeTailRescue pins the keep-alive livelock fix.
+// The sender's last packet is lost, and so is every ACK2 after it, so the
+// receiver last heard the sender before it sent its final ACK: the
+// receiver's EXP deadline precedes the sender's. From then on the only
+// packets the sender hears are the idle receiver's keep-alives. They prove
+// the receiver alive, but they must not push back the sender's EXP
+// deadline: that expiration is the only thing that retransmits a lost tail
+// (no later packet exists to trigger a NAK). When keep-alives moved the
+// deadline, each one landed on it — the receiver's keep-alive period is the
+// sender's EXP interval, MinEXP on a short path — the sender stayed silent,
+// and the receiver declared it dead after PeerDeathTime.
+func TestKeepAliveDoesNotPostponeTailRescue(t *testing.T) {
+	l := newTestLink(2_000, Config{MSS: 1500})
+	snd, rcv := l.ends[0], l.ends[1]
+	const pkts = 64 // several round trips: both RTT estimates converge first
+	tail := snd.conn.Config().ISN + pkts - 1
+	dropAt := int64(-1)
+	l.drop = func(from int, seq int32) bool {
+		if from == 0 && seq == tail && dropAt < 0 {
+			dropAt = l.now
+			return true
+		}
+		return false
+	}
+	l.dropCtrl = func(from int, k OutKind) bool { return from == 0 && k == OutACK2 && dropAt >= 0 }
+	want := make([]byte, pkts*1472)
+	rand.New(rand.NewSource(11)).Read(want)
+	snd.snd.Write(want)
+
+	for l.now < 10_000_000 && snd.conn.Stats.PktsRetrans == 0 && !rcv.conn.Broken() {
+		l.pump(l.now + 1_000)
+	}
+	if rcv.conn.Broken() {
+		t.Fatalf("receiver declared the sender dead at %dµs; the tail lost at %dµs was never retransmitted",
+			l.now, dropAt)
+	}
+	// Two EXP intervals: the first expiration after the last ACK requeues
+	// the tail; the second is slack for the deadline the ACK set.
+	if limit := dropAt + 2*snd.conn.expInterval(); l.now > limit {
+		t.Fatalf("tail lost at %dµs retransmitted at %dµs, after two EXP intervals (%dµs)", dropAt, l.now, limit)
+	}
+	l.pump(l.now + 100_000)
+	if !bytes.Equal(rcv.got, want) {
+		t.Fatalf("delivered %d of %d bytes after the rescue", len(rcv.got), len(want))
+	}
+}
+
+// TestIdlePairStaysAlive pins the other half of the keep-alive fix: after a
+// transfer both sides are idle and probe each other with keep-alives. When
+// a keep-alive moved the EXP deadline, the side whose deadline came first
+// kept postponing its peer's, so only that side ever sent one — and heard
+// nothing back, and declared a live peer dead after PeerDeathTime.
+func TestIdlePairStaysAlive(t *testing.T) {
+	l := newTestLink(2_000, Config{MSS: 1500})
+	l.ends[0].snd.Write(make([]byte, 10*1472))
+	l.pump(20_000_000) // ≈ 4 × PeerDeathTime of idleness after the transfer
+	for i, e := range l.ends {
+		if e.conn.Broken() {
+			t.Fatalf("idle end %d declared its live peer dead", i)
+		}
 	}
 }
 

@@ -182,13 +182,13 @@ func (e *Endpoint) ClaimBurst(now int64, sendCost float64, scratch []byte, lens 
 		seq, decision := e.Eng.NextSend(now, newAvail)
 		d = decision
 		if decision != SendData && decision != SendRetrans {
-			// NextWake, not NextTimer: a quiescent flow parks until its EXP
-			// keep-alive deadline instead of every ACK/NAK/SYN period — the
-			// ~30× wakeup reduction that lets one shard hold tens of
-			// thousands of idle flows. Any event that ends quiescence (app
-			// write, arriving packet) kicks the connection, which re-derives
-			// an earlier wake here.
-			wake = e.Eng.NextWake()
+			// NextWake, not NextTimer: a quiescent flow with nothing unsent
+			// parks until its EXP keep-alive deadline instead of every
+			// ACK/NAK/SYN period — the ~30× wakeup reduction that lets one
+			// shard hold tens of thousands of idle flows. Any event that ends
+			// quiescence (app write, arriving packet) kicks the connection,
+			// which re-derives an earlier wake here.
+			wake = e.Eng.NextWake(newAvail)
 			switch decision {
 			case WaitPacing:
 				if t := e.Eng.NextSendTime(); t < wake {

@@ -29,8 +29,8 @@ type Peer struct {
 	recvBytes int
 	recvHash  hashState
 
-	lastDecision core.SendDecision
-	brokenAt     int64
+	wake     int64 // what the last Service's burst claim asked for
+	brokenAt int64
 
 	// Write→acked latency tracking (campaign monitor): first-transmission
 	// times per sequence and the resulting per-packet ack latencies.
@@ -185,20 +185,13 @@ func (p *Peer) Finished() bool {
 	return sentAll && p.recvBytes >= p.wantLen
 }
 
-// NextWake folds the peer's next timer deadline — and, when the sender is
-// pacing-blocked, its next permitted send time — into bound, returning the
-// earlier of the two. Broken peers never wake.
+// NextWake folds into bound the wake the last Service's burst claim
+// returned — the deadline udt.Conn's scheduler parks the same engine state
+// until (core.Endpoint.ClaimBurst). Closed peers never wake, as a closed
+// udt.Conn leaves its scheduler.
 func (p *Peer) NextWake(bound int64) int64 {
-	if p.Eng.Broken() {
-		return bound
-	}
-	if t := p.Eng.NextTimer(); t < bound {
-		bound = t
-	}
-	if p.lastDecision == core.WaitPacing {
-		if t := p.Eng.NextSendTime(); t < bound {
-			bound = t
-		}
+	if !p.Eng.Closed() && p.wake < bound {
+		bound = p.wake
 	}
 	return bound
 }
@@ -247,8 +240,8 @@ func (p *Peer) Service(now int64) (progress bool) {
 	// the one packet the engine's schedule permits at this instant.
 	for {
 		first := seqno.Inc(p.Eng.CurSeq())
-		n, _, d := p.ClaimBurst(now, 0, p.scratch, p.lens[:])
-		p.lastDecision = d
+		var n int
+		n, p.wake, _ = p.ClaimBurst(now, 0, p.scratch, p.lens[:])
 		if n == 0 {
 			break
 		}

@@ -60,8 +60,15 @@ func fsDigest(r *FSResult) string {
 // rdv-loss-1pct and fs-kill-resume cells, folded via their deterministic
 // outcome fields only (realDigest/fsDigest). The virtual-clock cells'
 // digest contributions are unchanged.
+//
+// Re-derived for the one wake rule (PR 25): Peer sleeps on the production
+// wake instead of NextTimer, and a keep-alive no longer moves the EXP
+// deadline. Ten of the twelve virtual-clock cells move with the FreezeEnd
+// fold the old rule lacked; loss-episode and mux-64flows move again with the
+// keep-alive fix. Parking and the unsent-data rule move nothing once both
+// are in place (CHANGES.md, PR 25).
 func TestQuickMatrixReplayDigest(t *testing.T) {
-	const pinned uint64 = 0x07522ef4a62ef1e6
+	const pinned uint64 = 0x9a26122e94a720b0
 	got := quickMatrixDigest(1)
 	t.Logf("QuickMatrix(seed=1) digest: %016x", got)
 	if got != pinned {

@@ -94,10 +94,10 @@ const msghdrAlign = unsafe.Alignof(syscall.Msghdr{})
 // before delivery, so the demultiplexer and the engine see ordinary
 // datagrams, bit-identical to the unoffloaded path.
 type mmsgReader struct {
-	u   *net.UDPConn
-	rc  syscall.RawConn
-	i   int
-	gro bool
+	u     *net.UDPConn
+	rc    syscall.RawConn
+	renew time.Time // when to move the read deadline again (keepReadDeadline)
+	gro   bool
 
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
@@ -160,12 +160,7 @@ func newBatchReader(pc PacketConn, batch int, offload bool, st *offloadStats) ba
 }
 
 func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error {
-	// Refresh the deadline only periodically, keeping the syscall off the
-	// per-batch hot path (§4.1) while still letting the loop notice Close.
-	if r.i%16 == 0 {
-		r.u.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-	}
-	r.i++
+	keepReadDeadline(r.u, &r.renew)
 	for i := range r.hdrs {
 		r.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny

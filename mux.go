@@ -301,19 +301,24 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// singleReader is the portable read path: one ReadFrom per call, with a
-// periodically refreshed deadline so the loop notices Close.
+// keepReadDeadline keeps a read deadline 50–100 ms ahead: Close is noticed
+// within 100 ms, yet a socket still receiving never times out (an allocation).
+func keepReadDeadline(pc interface{ SetReadDeadline(time.Time) error }, renew *time.Time) {
+	if now := time.Now(); now.After(*renew) {
+		pc.SetReadDeadline(now.Add(100 * time.Millisecond)) //nolint:errcheck
+		*renew = now.Add(50 * time.Millisecond)
+	}
+}
+
+// singleReader is the portable read path: one ReadFrom per call.
 type singleReader struct {
-	pc  PacketConn
-	buf []byte
-	i   int
+	pc    PacketConn
+	buf   []byte
+	renew time.Time // when to move the read deadline again
 }
 
 func (r *singleReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error {
-	if r.i%16 == 0 {
-		r.pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-	}
-	r.i++
+	keepReadDeadline(r.pc, &r.renew)
 	n, from, err := r.pc.ReadFrom(r.buf)
 	if err != nil {
 		return err

@@ -31,6 +31,37 @@ func newLoopbackMux(t *testing.T, cfg *Config) *Mux {
 	return m
 }
 
+// deadlineLog records the read deadlines a reader sets.
+type deadlineLog []time.Time
+
+func (l *deadlineLog) SetReadDeadline(d time.Time) error {
+	*l = append(*l, d)
+	return nil
+}
+
+// TestKeepReadDeadline pins the read loops' deadline rule: a burst of
+// batches moves the deadline once, to 100 ms ahead, and the next move comes
+// while 50 ms of it are still left, so a socket that receives at least every
+// 50 ms never reads into a lapsed deadline (each lapse allocates an error in
+// package net).
+func TestKeepReadDeadline(t *testing.T) {
+	var set deadlineLog
+	var renew time.Time
+	start := time.Now()
+	for i := 0; i < 1000; i++ {
+		keepReadDeadline(&set, &renew)
+	}
+	if len(set) != 1 {
+		t.Fatalf("%d deadline moves over a burst of batches, want 1", len(set))
+	}
+	if ahead := set[0].Sub(start); ahead < 100*time.Millisecond || ahead > time.Second {
+		t.Fatalf("deadline set %v ahead, want 100 ms", ahead)
+	}
+	if left := set[0].Sub(renew); left != 50*time.Millisecond {
+		t.Fatalf("deadline renewed with %v of it left, want 50 ms", left)
+	}
+}
+
 // TestMuxDialListen runs several multiplexed flows between two Muxes over
 // one UDP socket pair and checks bidirectional data integrity.
 func TestMuxDialListen(t *testing.T) {

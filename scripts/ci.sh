@@ -31,6 +31,16 @@ echo "$budget" | grep -E 'bytes/conn=|heap/flow=|heap before='
 # deadline timer — the sites the discardSock-based gates cannot see.
 allocgates=$(go test -run 'TestMmsgSyscallAllocs|TestAckEmissionAllocs|TestPipeAllocs' -count=1 -v . ./internal/core ./fabric)
 echo "$allocgates" | grep -E 'allocs/(call|ACK|read)'
+# And whether the virtual-clock campaigns still test anything: the
+# scripted-loss campaign must recover on twenty seeds, not only the one
+# the perturbation test pins (it failed on three before the keep-alive
+# fix), and the CI dumbbell must still congest its bottleneck — a campaign
+# that congests nothing passes every digest. These and the CI digest pins
+# are single-threaded virtual-clock runs the race detector only slows
+# (~30 s against under 1 s): they run here, plainly and by name, and the
+# race run below skips them.
+campaigns=$(go test -run '^(TestCISetDigestsPinned|TestCISetCongests|TestScriptedLossRecoversAcrossSeeds)$' -count=1 -v ./internal/campaign)
+echo "$campaigns" | grep -E 'seed=|campaign='
 # Cross-compile gates: the Linux offload fast path (GSO/GRO, SO_REUSEPORT
 # groups, mmap sendfile) must keep the portable stubs compiling on
 # platforms that lack it.
@@ -45,10 +55,9 @@ go run ./scripts/mdcheck
 # Fast fail on the concurrency-heavy packages first: the demultiplexer and
 # the chaos harness in short mode, before the full (slower) race run.
 go test -race -short ./internal/mux ./internal/netem/chaos
-# TestCISetDigestsPinned is a single-threaded virtual-clock run the detector
-# only slows (~30 s against under 1 s): skipped here, run once plain below.
-go test -race -skip '^TestCISetDigestsPinned$' ./...
-go test -run '^TestCISetDigestsPinned$' -count=1 ./internal/campaign
+# The campaign runs are single-threaded virtual-clock runs the detector
+# only slows: skipped here, run plainly above.
+go test -race -skip '^(TestCISetDigestsPinned|TestCISetCongests|TestScriptedLossRecoversAcrossSeeds)$' ./...
 # The sealed channel again on the portable GCM (no AES/GHASH assembly): the
 # known-answer vectors, the tamper table and the 0 allocs/packet gate must
 # hold on the path a CPU without those instructions takes.
@@ -80,9 +89,10 @@ go run ./cmd/udtchaos -determinism -real
 # two-law fairness cells, bit-identical on replay.
 go run ./cmd/udtchaos -ccmatrix -determinism
 # Campaign gate: the CI topology campaigns — the 100-flow mixed-law dumbbell
-# and the 32-flow flash-crowd star — run twice each and must replay
-# bit-identically. Their stability across commits is TestCISetDigestsPinned
-# (internal/campaign), already run by `go test` above.
+# that congests its bottleneck and the 32-flow flash-crowd star that
+# congests nothing — run twice each and must replay bit-identically. Their
+# stability across commits is TestCISetDigestsPinned (internal/campaign),
+# already run above.
 go run ./cmd/udtchaos -campaign -determinism
 # Benchmark smoke: all five workloads of bench/run.sh on 2-second windows
 # must finish inside two minutes, each reporting "correct":true. The full
